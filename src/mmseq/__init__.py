@@ -5,8 +5,8 @@ replication-based solution quality assessment."""
 from .assess import (MRPReport, SAAOutcome, SAATrace, enumeration_solver,
                      lshaped_solver, mrp, mrp_integrated_saa, t_quantile,
                      tabu_solver)
-from .errors import (ConfigError, InfeasibleError, MMSeqError, ParseError,
-                     SizeGuardError, StaleStateError, UnboundedError)
+from .errors import (ConfigError, MMSeqError, ParseError, SizeGuardError,
+                     StaleStateError)
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, EvalState,
                         Sequence, evaluate, evaluate_expected,
                         evaluate_weighted, partial_reevaluate, trace_csv)
@@ -24,7 +24,7 @@ from .scenario import (Sample, Scenario, enumerate_all, load_sample,
                        sample, save_sample, scenario_probability)
 from .tabu import (HistoryRecord, SAParams, SearchParams, history_csv,
                    is_tabu, search, simulated_annealing)
-from .timeunits import TICKS_PER_TU, format_ticks, to_ticks, to_tu
+from .timeunits import TICKS_PER_TU, format_ticks, to_ticks
 
 __version__ = "0.1.0"
 

@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
     lower = upper = gap = None
     iterations = 0
     hit_time_limit = False
-    params_text = f"workers={args.workers}"
+    params = []
 
     if args.method == "greedy":
         seq, _ = construct(instance, args.seed)
@@ -202,7 +202,7 @@ def cmd_solve(args) -> int:
         lower, upper = result.lower_bound, result.upper_bound
         gap = upper - lower
         iterations = result.stats.nodes
-        params_text += f";cuts={result.stats.cuts_added}"
+        params.append(f"cuts={result.stats.cuts_added}")
         hit_time_limit = result.stats.status == "time_limit"
     elif args.method == "ts":
         start, _ = construct(instance, args.seed)
@@ -210,9 +210,9 @@ def cmd_solve(args) -> int:
         seq, history = search(instance, smp, start, sp)
         iterations = len(history)
         if sp.iters_one is not None:
-            params_text += f";iters={sp.iters_one}+{sp.iters_full}"
+            params.append(f"iters={sp.iters_one}+{sp.iters_full}")
         else:
-            params_text += f";tau={sp.tau_one:g}+{sp.tau_full:g}"
+            params.append(f"tau={sp.tau_one:g}+{sp.tau_full:g}")
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
@@ -220,7 +220,7 @@ def cmd_solve(args) -> int:
     wall = None if args.deterministic else time.perf_counter() - t0
     record = RunRecord(
         command="solve", instance=instance_digest(instance), seed=args.seed,
-        method=args.method, params=params_text, objective=objective,
+        method=args.method, params=";".join(params), objective=objective,
         lower_bound=lower, upper_bound=upper, gap=gap, wall_time=wall,
         iterations=iterations)
     print(RUN_HEADER)
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--deterministic", action="store_true",
                        help="iteration budgets only; blank wall-clock fields")
-        p.add_argument("--workers", type=int, default=1,
-                       help="upper bound on worker processes")
         p.add_argument("--out", help="output path")
 
     g = sub.add_parser("generate", help="write benchmark instance files")

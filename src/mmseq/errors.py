@@ -21,11 +21,3 @@ class SizeGuardError(MMSeqError):
 
 class StaleStateError(MMSeqError):
     """A cached evaluation state does not belong to the sequence it was offered with."""
-
-
-class UnboundedError(MMSeqError):
-    """LP is unbounded."""
-
-
-class InfeasibleError(MMSeqError):
-    """LP is infeasible."""

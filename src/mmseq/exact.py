@@ -1,9 +1,10 @@
 """Exact solution of the sampled sequencing problem.
 
 Pieces: a brute-force enumeration oracle, the per-scenario recourse LPs
-(three failure encodings), the Benders dual subproblem with optimality
-cut extraction, and a branch-and-bound master that adds cuts lazily at
-integer-feasible nodes.
+(three failure encodings; the reference the cuts are tested against),
+optimality cuts whose recourse duals are read off the station recursion
+by complementary slackness, and a branch-and-bound master LP that adds
+cuts lazily at integer-feasible nodes.
 
 Objective bookkeeping mirrors the evaluator: scenario costs are exact
 integer tick counts, so for sampled (integer-multiplicity) scenario sets
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import MMSeqError, SizeGuardError
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Sequence,
-                        _overload_ticks, as_order)
+                        _overload_ticks, as_order, evaluate_station)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, solve_lp
@@ -258,20 +259,14 @@ def _chain_lp(instance: Instance, b_rows, regenerative: bool,
 
 
 # ---------------------------------------------------------------------------
-# dual subproblem and optimality cuts
+# recourse duals and optimality cuts
 
 @dataclass(frozen=True)
 class DualSolution:
     """Multipliers of the improved-model recourse dual: pi_sp for the
-    progression rows, pi_wo for the overload rows (station x position).
-    The remaining families of the unreduced dual are kept as named slots
-    for documentation; this solver never populates them."""
+    progression rows, pi_wo for the overload rows (station x position)."""
     pi_sp: tuple[tuple[float, ...], ...]
     pi_wo: tuple[tuple[float, ...], ...]
-    pi_fs: None = None
-    pi_ch: None = None
-    pi_sf: None = None
-    pi_cf: None = None
 
     def max_violation(self) -> float:
         """Largest violation of the dual feasible region's constraints."""
@@ -305,64 +300,37 @@ class OptimalityCut:
         return total
 
 
-def _dsp_stations(b_hat, c: int, lengths, epsilon_ticks: float,
-                  regenerative: bool) -> tuple[list, list]:
-    """All stations' dual LPs: maximize the cut subject to the chain and
-    pairing rows; epsilon rewards multiplier support without entering
-    the returned data.  The stations decouple, so they are batched into
-    one block-diagonal program to amortize solver overhead."""
-    K = len(lengths)
-    T = len(b_hat[0])
-    per = 2 * T                      # sp_1..sp_T, wo_1..wo_T per station
-    nvar = K * per
-    n_rows = K * (2 * T - 1)
-    obj = np.empty(nvar)
-    a = np.zeros((n_rows, nvar))
-    rhs = np.empty(n_rows)
-    upper = np.ones(nvar)
-    r = 0
-    for k in range(K):
-        o = k * per
-        for t in range(T):
-            obj[o + t] = b_hat[k][t] - c + epsilon_ticks
-            obj[o + T + t] = b_hat[k][t] - lengths[k] + epsilon_ticks
-        for t in range(T):           # sp_t + wo_t <= 1
-            a[r, o + t] = 1.0
-            a[r, o + T + t] = 1.0
-            rhs[r] = 1.0
-            r += 1
-        for t in range(T - 1):       # sp_t - sp_{t+1} - wo_{t+1} <= 0
-            a[r, o + t] = 1.0
-            a[r, o + t + 1] = -1.0
-            a[r, o + T + t + 1] = -1.0
-            rhs[r] = 0.0
-            r += 1
-        if not regenerative:
-            upper[o + T - 1] = 0.0   # virtual free z_{T+1} kills sp_T
-    lp = LinearProgram(obj, a, (LE,) * n_rows, rhs,
-                       np.zeros(nvar), upper, maximize=True)
-    res = solve_lp(lp)
-    if res.status != OPTIMAL:
-        raise MMSeqError(f"dual subproblem came back {res.status}")
-    sp_rows, wo_rows = [], []
-    for k in range(K):
-        o = k * per
-        sp = [float(v) for v in res.x[o:o + T]]
-        wo = [float(v) for v in res.x[o + T:o + per]]
-        # repair pass: the multipliers must satisfy the dual rows exactly,
-        # and only reductions are safe (any feasible point yields a valid cut)
-        sp = [min(1.0, max(0.0, v)) for v in sp]
-        wo = [min(1.0, max(0.0, v)) for v in wo]
-        for t in range(T):
-            if sp[t] + wo[t] > 1.0:
-                wo[t] = 1.0 - sp[t]
-        for t in range(T - 2, -1, -1):
-            cap = sp[t + 1] + wo[t + 1]
-            if sp[t] > cap:
-                sp[t] = cap
-        sp_rows.append(sp)
-        wo_rows.append(wo)
-    return sp_rows, wo_rows
+def _station_duals(b, c: int, length: int, regenerative: bool
+                   ) -> tuple[list, list, float]:
+    """One station's recourse-dual multipliers by complementary slackness
+    on its primal trace, plus the station's overload.
+
+    Walking backwards, m = sp_{t+1} + wo_{t+1} caps sp_t.  A position
+    that reaches the border (s >= l) binds its overload row and opens
+    the cap again; one that idles (s < c) leaves its progression row
+    slack and closes it.  Ties take the carrying branch, the
+    maximum-support choice among the alternate optima.
+    """
+    ev = evaluate_station(b, c, length, regenerative)
+    T = len(b)
+    sp = [0.0] * T
+    wo = [0.0] * T
+    s = ev.z[-1] + b[-1]
+    if regenerative:
+        if s >= c:
+            sp[-1] = 1.0
+    elif s >= length:      # virtual free z_{T+1} kills sp_T
+        wo[-1] = 1.0
+    m = sp[-1] + wo[-1]
+    for t in range(T - 2, -1, -1):
+        s = ev.z[t] + b[t]
+        if s >= length:
+            sp[t], wo[t], m = m, 1.0 - m, 1.0
+        elif s >= c:
+            sp[t] = m
+        else:
+            m = 0.0
+    return sp, wo, ev.total_overload
 
 
 def _cut_from_duals(instance: Instance, scenario: Scenario, sp_rows, wo_rows
@@ -390,33 +358,26 @@ def _cut_from_duals(instance: Instance, scenario: Scenario, sp_rows, wo_rows
 
 
 def solve_dsp(instance: Instance, x, scenario: Scenario,
-              epsilon: float = 1e-3, regenerative: bool = True
+              regenerative: bool = True
               ) -> tuple[DualSolution, OptimalityCut]:
-    """Solve the scenario's dual subproblem (stations decouple) and
-    extract an optimality cut.  The epsilon regularizer only biases the
-    choice among alternate optimal multipliers; if the resulting cut is
-    not tight at x, the stations re-solve unregularized."""
-    xmat, order = _as_xmat(instance, x)
-    oracle = _ValueOracle(instance, [(scenario, 1.0)], regenerative)
-    if order is not None:
-        target = oracle.scenario_ticks(order, scenario) / TICKS_PER_TU
-    else:
-        target, _ = recourse_lp(instance, xmat, scenario,
-                                IMPROVED_NEUTRAL, regenerative)
+    """Optimal recourse duals of the scenario at x and their optimality
+    cut.  The stations decouple, and each one's multipliers are read off
+    the station recursion (no LP), so the cut is tight at x by strong
+    duality; a cut that is not raises MMSeqError."""
+    xmat, _ = _as_xmat(instance, x)
     c = instance.cycle_time
-    b_hat = _b_hat(instance, xmat, scenario, IMPROVED_NEUTRAL)
-
-    lengths = [st.length for st in instance.stations]
-
-    def attempt(eps_ticks: float):
-        sp_rows, wo_rows = _dsp_stations(b_hat.tolist(), c, lengths,
-                                         eps_ticks, regenerative)
-        return sp_rows, wo_rows, _cut_from_duals(instance, scenario,
-                                                 sp_rows, wo_rows)
-
-    sp_rows, wo_rows, cut = attempt(epsilon * TICKS_PER_TU)
-    if cut.value_at(xmat) < target - 1e-8 * max(1.0, abs(target)):
-        sp_rows, wo_rows, cut = attempt(0.0)
+    b_hat = _b_hat(instance, xmat, scenario, IMPROVED_NEUTRAL).tolist()
+    sp_rows, wo_rows, total = [], [], 0.0
+    for b, st in zip(b_hat, instance.stations):
+        sp, wo, overload = _station_duals(b, c, st.length, regenerative)
+        sp_rows.append(sp)
+        wo_rows.append(wo)
+        total += overload
+    cut = _cut_from_duals(instance, scenario, sp_rows, wo_rows)
+    target = total / TICKS_PER_TU
+    if abs(cut.value_at(xmat) - target) > 1e-8 * max(1.0, abs(target)):
+        raise MMSeqError(f"optimality cut is not tight at its anchor "
+                         f"({cut.value_at(xmat)} vs {target})")
     dual = DualSolution(pi_sp=tuple(tuple(r) for r in sp_rows),
                         pi_wo=tuple(tuple(r) for r in wo_rows))
     return dual, cut
@@ -427,7 +388,6 @@ def solve_dsp(instance: Instance, x, scenario: Scenario,
 
 @dataclass(frozen=True)
 class ExactParams:
-    epsilon: float = 1e-3
     gap_tol: float = 0.0
     time_limit: float | None = None
 
@@ -709,9 +669,7 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             for j, (scen, _) in enumerate(pairs):
                 q_tu = oracle.scenario_ticks(order, scen) / TICKS_PER_TU
                 if res.x[master.nx + j] < q_tu - viol_tol:
-                    _, cut = solve_dsp(instance, order, scen,
-                                       epsilon=params.epsilon)
-                    stats.lp_solves += 1
+                    _, cut = solve_dsp(instance, order, scen)
                     if master.add_cut(cut):
                         stats.cut_pool.append(cut)
                         added += 1

@@ -29,11 +29,6 @@ def to_ticks(value: int | float | str | Decimal) -> int:
     return int((dec / _QUANTUM).to_integral_value(rounding=ROUND_HALF_EVEN))
 
 
-def to_tu(ticks: int) -> float:
-    """Ticks back to a float TU value (for LPs and reports)."""
-    return ticks / TICKS_PER_TU
-
-
 def format_ticks(ticks: int) -> str:
     """Render ticks as a TU decimal with exactly four places, e.g. 970000 -> "97.0000"."""
     sign = "-" if ticks < 0 else ""

@@ -36,8 +36,8 @@ def run_cli(capsys, *argv):
 
 def test_run_record_row_formats_blanks():
     rec = RunRecord(command="solve", instance="abc", seed=3, method="greedy",
-                    params="workers=1", objective=1.5)
-    assert rec.to_csv_row() == "solve,abc,3,greedy,workers=1,1.500000,,,,,0"
+                    params="", objective=1.5)
+    assert rec.to_csv_row() == "solve,abc,3,greedy,,1.500000,,,,,0"
 
 
 def test_solution_format_round_trip():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mmseq.exact
 from mmseq.errors import SizeGuardError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Sequence, evaluate, evaluate_expected,
@@ -12,7 +13,8 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
                          enumerate_optimal, full_information, lshaped_solve,
                          recourse_lp, solve_dsp)
-from mmseq.instance import Instance, Vehicle, generate, preset_config
+from mmseq.instance import (Instance, Station, Vehicle, generate,
+                            preset_config)
 from mmseq.scenario import Sample, Scenario, sample
 from mmseq.timeunits import TICKS_PER_TU
 
@@ -125,34 +127,72 @@ def test_zero_overload_cut_stays_nonpositive():
         assert cut.value_at(as_xmat(perm)) <= 1e-7
 
 
+def test_dual_tie_takes_the_carrying_branch():
+    # position 0 ends exactly on the cycle (s == c): its progression row
+    # binds with zero slack, and carrying the last position's multiplier
+    # through it gives the strongest of the tied cuts
+    inst = Instance.of(7, (10,), [Vehicle.of(0, False, (7,)),
+                                  Vehicle.of(1, False, (9,))])
+    dual, cut = solve_dsp(inst, (0, 1), all_exist(2))
+    assert dual.pi_sp == ((1.0, 1.0),)
+    assert dual.pi_wo == ((0.0, 0.0),)
+    assert cut.coeffs == ((7.0, 7.0), (9.0, 9.0))
+    assert cut.offset == -14.0
+    assert cut.value_at(as_xmat((1, 0))) == 2.0
+
+
+def flat_stations(inst: Instance) -> Instance:
+    """The same vehicles with every station length equal to the cycle."""
+    stations = tuple(Station(st.id, inst.cycle_time) for st in inst.stations)
+    return Instance(inst.cycle_time, stations, inst.vehicles)
+
+
+def check_cut(inst, xmat, scen, probes):
+    """The cut built at xmat is tight there (against the recourse LP) and
+    stays below the true recourse at every probe sequence; both borders,
+    on the instance and on its l == c twin."""
+    for case in (inst, flat_stations(inst)):
+        for regen in (True, False):
+            dual, cut = solve_dsp(case, xmat, scen, regenerative=regen)
+            assert dual.is_feasible(1e-9)
+            target, _ = recourse_lp(case, xmat, scen, regenerative=regen)
+            assert cut.value_at(xmat) == pytest.approx(target, abs=1e-7)
+            for probe in probes:
+                q = evaluate(case, probe, scen, regenerative=regen)
+                assert cut.value_at(as_xmat(probe)) <= \
+                    q.total_overload / TICKS_PER_TU + 1e-7
+
+
 def test_cuts_underestimate_everywhere(rng):
-    # a cut built at one point must stay below the true recourse at all
-    # sequences; spot-check random instances, scenarios, and anchors
+    # spot-check random instances, scenarios, and integral anchors
     for _ in range(10):
         inst = random_instance(rng, n=5)
         scen = random_scenario(rng, 5)
-        anchor = random_order(rng, 5)
-        dual, cut = solve_dsp(inst, anchor, scen)
-        assert dual.is_feasible(1e-9)
-        target = evaluate(inst, anchor, scen).total_overload / TICKS_PER_TU
-        assert cut.value_at(as_xmat(anchor)) == pytest.approx(target, abs=1e-7)
-        for _ in range(20):
-            probe = random_order(rng, 5)
-            q = evaluate(inst, probe, scen).total_overload / TICKS_PER_TU
-            assert cut.value_at(as_xmat(probe)) <= q + 1e-7
+        anchor = as_xmat(random_order(rng, 5))
+        check_cut(inst, anchor, scen,
+                  [random_order(rng, 5) for _ in range(20)])
 
 
 def test_cut_from_fractional_anchor(rng):
-    # Birkhoff mix of three permutation matrices as the anchor point
+    # Birkhoff mixes of three permutation matrices as the anchor point
+    for _ in range(4):
+        inst = random_instance(rng, n=5)
+        scen = random_scenario(rng, 5)
+        xmat = sum(as_xmat(random_order(rng, 5)) for _ in range(3)) / 3.0
+        check_cut(inst, xmat, scen,
+                  [random_order(rng, 5) for _ in range(30)])
+
+
+def test_cuts_need_no_lp(rng, monkeypatch):
+    def refuse(lp):
+        raise AssertionError("solve_dsp called the LP solver")
+
+    monkeypatch.setattr(mmseq.exact, "solve_lp", refuse)
     inst = random_instance(rng, n=5)
     scen = random_scenario(rng, 5)
-    xmat = sum(as_xmat(random_order(rng, 5)) for _ in range(3)) / 3.0
-    dual, cut = solve_dsp(inst, xmat, scen)
-    assert dual.is_feasible(1e-9)
-    for _ in range(30):
-        probe = random_order(rng, 5)
-        q = evaluate(inst, probe, scen).total_overload / TICKS_PER_TU
-        assert cut.value_at(as_xmat(probe)) <= q + 1e-7
+    for x in (random_order(rng, 5), uniform_xmat(5)):
+        dual, _ = solve_dsp(inst, x, scen)
+        assert dual.is_feasible(1e-9)
 
 
 def test_dual_violation_measure():
@@ -162,7 +202,6 @@ def test_dual_violation_measure():
     bad = DualSolution(pi_sp=((1.0, 0.0),), pi_wo=((0.0, 0.5),))
     assert bad.max_violation() == pytest.approx(0.5)
     assert not bad.is_feasible()
-    assert bad.pi_fs is None and bad.pi_ch is None
 
 
 # ------------------------------------------------------------ enumeration

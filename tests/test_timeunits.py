@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from mmseq.timeunits import TICKS_PER_TU, format_ticks, quantize, to_ticks, to_tu
+from mmseq.timeunits import TICKS_PER_TU, format_ticks, quantize, to_ticks
 
 
 def test_tick_scale():
@@ -31,11 +31,6 @@ def test_format_ticks():
     assert format_ticks(-15_000) == "-1.5000"
 
 
-def test_to_tu():
-    assert to_tu(970_000) == 97.0
-    assert to_tu(5_000) == 0.5
-
-
 def test_quantize():
     assert quantize(0.30000000000000004) == 0.3
     assert quantize(0.12345) == 0.1234 or quantize(0.12345) == 0.1235
@@ -49,4 +44,3 @@ def test_format_round_trip(ticks):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_int_tu_round_trip(tu):
     assert to_ticks(tu) == tu * TICKS_PER_TU
-    assert to_tu(to_ticks(tu)) == float(tu)
