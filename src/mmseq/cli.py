@@ -302,6 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration budgets only; blank wall-clock fields")
         p.add_argument("--out", help="output path")
 
+    def budgets(p):
+        p.add_argument("--iters", type=int,
+                       help="ts iteration budget, split 10:590 between the "
+                            "phases (default 3000 under --deterministic); with "
+                            "neither --iters, --time-limit nor --deterministic, "
+                            "ts spends the paper's 10 s + 590 s")
+        p.add_argument("--time-limit", type=float,
+                       help="wall-clock seconds for lshaped, and for ts (split "
+                            "10:590) unless --iters is given; ignored under "
+                            "--deterministic")
+
     g = sub.add_parser("generate", help="write benchmark instance files")
     g.add_argument("--class", dest="size_class", required=True,
                    choices=sorted(SIZE_CLASSES))
@@ -317,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sample-size", type=int, default=0,
                    help="scenario draws; 0 = the no-failure scenario")
     s.add_argument("--sample-seed", type=int, default=0)
-    s.add_argument("--time-limit", type=float)
-    s.add_argument("--iters", type=int,
-                   help="iteration budget replacing wall-clock phases")
+    budgets(s)
     common(s)
     s.set_defaults(func=cmd_solve)
 
@@ -332,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--sample-size", type=int, default=100,
                    help="per-replication sample size")
     a.add_argument("--alpha", type=float, default=0.05)
-    a.add_argument("--iters", type=int, help="search budget when method=ts")
-    a.add_argument("--time-limit", type=float)
+    budgets(a)
     common(a)
     a.set_defaults(func=cmd_assess)
 
@@ -345,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sample-seed", type=int, default=0)
     c.add_argument("--eval-size", type=int, default=1000)
     c.add_argument("--eval-seed", type=int)
-    c.add_argument("--iters", type=int)
-    c.add_argument("--time-limit", type=float)
+    budgets(c)
     common(c)
     c.set_defaults(func=cmd_compare)
     return parser

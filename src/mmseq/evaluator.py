@@ -22,12 +22,22 @@ untouched and adds no overload, so one fixed-length position axis
 serves every scenario.  A removal transform (drop failed positions) and
 the zeroing transform used by the weaker formulation are provided for
 the equivalence tests.
+
+Every full evaluation of the sampled objective goes through Objective,
+which runs this recursion on a batch of orders one position at a time,
+each step vectorised over orders x scenarios x stations in int64, and
+weighs the per-scenario overloads.  evaluate / evaluate_station keep the
+full per-scenario trace (the reference in the tests, the cut duals and
+trace_csv), and partial_reevaluate serves the local search.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import StaleStateError
 from .instance import Instance
@@ -178,41 +188,60 @@ def evaluate(instance: Instance, sequence, scenario: Scenario | None = None,
     )
 
 
-def _overload_ticks(p_rows, lengths, c: int, order, exists,
-                    regenerative: bool) -> int:
-    """Fast total-overload path shared by the expectation helpers."""
-    total = 0
-    T = len(order)
-    if T == 0:
-        return 0
-    last = T - 1
-    for k in range(len(p_rows)):
-        row = p_rows[k]
-        length = lengths[k]
-        cap = length - c
-        cur = 0
+class Objective:
+    """Expected overload of orders over one weighted scenario set.
+
+    A Sample weighs its scenarios by integer multiplicities, and a key
+    is the exact numerator sum_w n_w * Q(x, w) in ticks; any other
+    iterable of (scenario, weight) pairs gives the correctly rounded
+    float sum of weight * Q(x, w).  Lower keys are better, and tu()
+    turns a key into the objective in TU.
+    """
+
+    def __init__(self, instance: Instance, scenarios, regenerative: bool = True):
+        self.n = scenarios.n if isinstance(scenarios, Sample) else None
+        self.pairs = list(scenarios.unique if self.n is not None else scenarios)
+        self.weights = np.array([w for _, w in self.pairs],
+                                dtype=np.int64 if self.n is not None else float)
+        self.regenerative = regenerative
+        self.c = instance.cycle_time
+        self.lengths = np.array([st.length for st in instance.stations], dtype=np.int64)
+        self.p = np.array([veh.processing_times for veh in instance.vehicles],
+                          dtype=np.int64)
+        self.exists = np.ascontiguousarray(np.array(
+            [s.exists for s, _ in self.pairs], dtype=bool
+        ).reshape(len(self.pairs), instance.n_vehicles).T)
+
+    def ticks(self, orders) -> np.ndarray:
+        """Overload in ticks, summed over stations, of each order (rows
+        of a 2-D batch) under each scenario (columns)."""
+        orders = np.asarray(orders, dtype=np.intp)
+        n_orders, T = orders.shape
+        c, lengths = self.c, self.lengths
+        cur = np.zeros((n_orders, len(self.pairs), len(lengths)), dtype=np.int64)
+        w = np.zeros_like(cur)
         for t in range(T):
-            v = order[t]
-            s = cur + (row[v] if exists[v] else c)
-            border = c if (regenerative and t == last) else length
-            if s > border:
-                total += s - border
-            raw = s - c
-            cur = 0 if raw < 0 else (raw if raw < cap else cap)
-    return total
+            v = orders[:, t]
+            s = cur + np.where(self.exists[v][:, :, None], self.p[v][:, None, :], c)
+            border = c if (self.regenerative and t == T - 1) else lengths
+            w += np.maximum(s - border, 0)
+            cur = np.clip(s - c, 0, lengths - c)
+        return w.sum(axis=2)
 
+    def keys(self, orders) -> list:
+        """Comparison key of each order in the batch (Python numbers)."""
+        ticks = self.ticks(orders)
+        if self.n is None:
+            return [math.fsum(row) for row in (ticks * self.weights).tolist()]
+        if int(ticks.max(initial=0)) * self.n < 2 ** 63:  # no int64 wrap
+            return (ticks @ self.weights).tolist()
+        weights = self.weights.tolist()
+        return [sum(map(operator.mul, row, weights)) for row in ticks.tolist()]
 
-def expected_overload_numerator(instance: Instance, sequence, smp: Sample,
-                                regenerative: bool = True) -> int:
-    """Exact integer numerator sum_w n_w * Q(x, w) in ticks; divide by
-    (sample n * ticks per TU) for the TU sample average."""
-    order = as_order(sequence)
-    p_rows = instance.processing_rows()
-    lengths = [st.length for st in instance.stations]
-    c = instance.cycle_time
-    return sum(
-        count * _overload_ticks(p_rows, lengths, c, order, s.exists, regenerative)
-        for s, count in smp.unique)
+    def tu(self, key) -> float:
+        if self.n is not None:
+            return key / (self.n * TICKS_PER_TU)
+        return key / TICKS_PER_TU
 
 
 def evaluate_expected(instance: Instance, sequence, smp: Sample,
@@ -220,22 +249,16 @@ def evaluate_expected(instance: Instance, sequence, smp: Sample,
     """SAA objective in TU: (1/N) sum over draws of the scenario cost,
     computed over deduplicated scenarios with integer weights so the
     multiset and deduplicated forms agree exactly."""
-    num = expected_overload_numerator(instance, sequence, smp, regenerative)
-    return num / (smp.n * TICKS_PER_TU)
+    objective = Objective(instance, smp, regenerative)
+    return objective.tu(objective.keys([as_order(sequence)])[0])
 
 
 def evaluate_weighted(instance: Instance, sequence, scenario_weights,
                       regenerative: bool = True) -> float:
     """Probability-weighted expectation in TU over (scenario, weight)
     pairs, e.g. the full-information objective from enumerate_all."""
-    order = as_order(sequence)
-    p_rows = instance.processing_rows()
-    lengths = [st.length for st in instance.stations]
-    c = instance.cycle_time
-    terms = [weight * _overload_ticks(p_rows, lengths, c, order, s.exists,
-                                      regenerative)
-             for s, weight in scenario_weights]
-    return math.fsum(terms) / TICKS_PER_TU
+    objective = Objective(instance, scenario_weights, regenerative)
+    return objective.tu(objective.keys([as_order(sequence)])[0])
 
 
 # ---------------------------------------------------------------------------

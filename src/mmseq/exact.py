@@ -1,17 +1,20 @@
 """Exact solution of the sampled sequencing problem.
 
-Pieces: a brute-force enumeration oracle, the per-scenario recourse LPs
-(three failure encodings; the reference the cuts are tested against),
+Pieces: brute-force enumeration, the per-scenario recourse LPs (three
+failure encodings; the reference the cuts are tested against),
 optimality cuts whose recourse duals are read off the station recursion
 by complementary slackness, and a branch-and-bound master LP that adds
 cuts lazily at integer-feasible nodes.
 
-Objective bookkeeping mirrors the evaluator: scenario costs are exact
-integer tick counts, so for sampled (integer-multiplicity) scenario sets
-the master can compare candidate values exactly and prune on an
-integrality margin, making the search provably exact despite floating
-LP arithmetic.  Probability-weighted scenario sets (full information)
-fall back to correctly-rounded float sums.
+Candidate orders are valued by evaluator.Objective: scenario costs are
+exact integer tick counts, so for sampled (integer-multiplicity)
+scenario sets the master can compare candidate values exactly and prune
+on an integrality margin, making the search provably exact despite
+floating LP arithmetic.  Probability-weighted scenario sets (full
+information) fall back to correctly-rounded float sums.  Enumeration
+and the branch-and-bound's exhaustive closures share one completion
+search, which scores permutations in batches and keeps the first
+minimiser in permutation order, the lexicographically smallest argmin.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MMSeqError, SizeGuardError
-from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Sequence,
-                        _overload_ticks, as_order, evaluate_station)
+from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
+                        Sequence, as_order, evaluate_station)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, solve_lp
-from .scenario import Sample, Scenario, enumerate_all
+from .scenario import Scenario, enumerate_all
 from .timeunits import TICKS_PER_TU
 
 ENUMERATION_GUARD = 9
@@ -49,52 +52,47 @@ class WeightedScenarios:
         if any(w < 0 for _, w in self.pairs):
             raise ValueError("weights must be nonnegative")
 
+    def __iter__(self):
+        return iter(self.pairs)
+
 
 def full_information(instance: Instance) -> WeightedScenarios:
     """All 2^|V| scenarios weighted by their true probabilities."""
     return WeightedScenarios(tuple(enumerate_all(instance)))
 
 
-def _scenario_pairs(smp):
-    """Normalize a Sample or WeightedScenarios to (pairs, n): with a
-    Sample the weights are integer multiplicities and n their total."""
-    if isinstance(smp, Sample):
-        return list(smp.unique), smp.n
-    if isinstance(smp, WeightedScenarios):
-        return list(smp.pairs), None
-    return [(s, w) for s, w in smp], None
+# completions scored per batch: 7!, one batch per leading vehicle at
+# |V| = 8, which bounds the batch arrays at 5040 x scenarios x stations
+_CHUNK = 5040
 
 
-class _ValueOracle:
-    """Canonical objective of a permutation over a scenario set: exact
-    integer numerator when multiplicities are integral, correctly
-    rounded float sum otherwise.  Comparable keys come from key()."""
-
-    def __init__(self, instance: Instance, smp, regenerative: bool = True):
-        self.pairs, self.n = _scenario_pairs(smp)
-        self.p_rows = instance.processing_rows()
-        self.lengths = [st.length for st in instance.stations]
-        self.c = instance.cycle_time
-        self.regenerative = regenerative
-
-    def scenario_ticks(self, order, scenario: Scenario) -> int:
-        return _overload_ticks(self.p_rows, self.lengths, self.c, order,
-                               scenario.exists, self.regenerative)
-
-    def key(self, order):
-        """Exact comparison key; lower is better."""
-        if self.n is not None:
-            return sum(w * self.scenario_ticks(order, s) for s, w in self.pairs)
-        return math.fsum(w * self.scenario_ticks(order, s)
-                         for s, w in self.pairs)
-
-    def tu(self, key_value) -> float:
-        if self.n is not None:
-            return key_value / (self.n * TICKS_PER_TU)
-        return key_value / TICKS_PER_TU
-
-    def value_tu(self, order) -> float:
-        return self.tu(self.key(order))
+def _best_completion(objective: Objective, slots, forbidden):
+    """Fill the open positions (None in slots) with the loose vehicles:
+    of the completions that use no forbidden (vehicle, position) pair,
+    return the first minimiser of the objective's key in permutation
+    order of the loose vehicles, or None when every completion is
+    forbidden."""
+    open_t = [t for t, v in enumerate(slots) if v is None]
+    column = {t: i for i, t in enumerate(open_t)}
+    loose = sorted(set(range(len(slots))) - set(slots))
+    base = np.array([0 if v is None else v for v in slots], dtype=np.intp)
+    perms = itertools.permutations(loose)
+    best_order = best_key = None
+    while True:
+        combos = np.array(list(itertools.islice(perms, _CHUNK)), dtype=np.intp)
+        if not len(combos):
+            return best_order
+        for v, t in forbidden:
+            if t in column:
+                combos = combos[combos[:, column[t]] != v]
+        if not len(combos):
+            continue
+        orders = np.tile(base, (len(combos), 1))
+        orders[:, open_t] = combos
+        keys = objective.keys(orders)
+        i = min(range(len(keys)), key=keys.__getitem__)
+        if best_key is None or keys[i] < best_key:
+            best_order, best_key = tuple(orders[i].tolist()), keys[i]
 
 
 def enumerate_optimal(instance: Instance, smp, regenerative: bool = True
@@ -105,15 +103,9 @@ def enumerate_optimal(instance: Instance, smp, regenerative: bool = True
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"enumeration over {n}! permutations refused (limit {ENUMERATION_GUARD})")
-    oracle = _ValueOracle(instance, smp, regenerative)
-    best_order = None
-    best_key = None
-    for perm in itertools.permutations(range(n)):
-        key = oracle.key(perm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_order = perm
-    return Sequence(best_order), oracle.tu(best_key)
+    objective = Objective(instance, smp, regenerative)
+    order = _best_completion(objective, [None] * n, ())
+    return Sequence(order), objective.tu(objective.keys([order])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +550,8 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
         raise SizeGuardError(
             f"branch-and-cut on |V|={nv} refused (limit {LSHAPED_GUARD})")
     t0 = time.perf_counter()
-    pairs, n = _scenario_pairs(smp)
-    oracle = _ValueOracle(instance, smp)
+    objective = Objective(instance, smp)
+    pairs, n = objective.pairs, objective.n
     master = _Master(instance, pairs, n)
     stats = SolveStats()
 
@@ -587,11 +579,11 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
 
     def consider(order):
         nonlocal best_key, best_order, best_tu
-        key = oracle.key(order)
+        key = objective.keys([order])[0]
         if best_key is None or key < best_key:
             best_key = key
             best_order = order
-            best_tu = oracle.tu(key)
+            best_tu = objective.tu(key)
             stats.log.append(f"incumbent {best_tu:.6f} {order}")
 
     # warm incumbent from the greedy constructor: pruning starts working
@@ -605,26 +597,16 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     def close_exhaustively(fixings) -> bool:
         """Evaluate every completion consistent with the fixings when few
         vehicles remain loose; exact, and cheaper than relaxing on."""
-        pinned = {}
-        forbidden = set()
+        slots = [None] * nv
         for (v, t), val in fixings.items():
             if val:
-                pinned[t] = v
-            else:
-                forbidden.add((v, t))
-        if nv - len(pinned) > exhaust_limit:
-            return False
-        placed = set(pinned.values())
-        rest_v = [v for v in range(nv) if v not in placed]
-        rest_t = [t for t in range(nv) if t not in pinned]
-        slots = [pinned.get(t) for t in range(nv)]
-        for combo in itertools.permutations(rest_v):
-            if forbidden and any((v, t) in forbidden
-                                 for v, t in zip(combo, rest_t)):
-                continue
-            for v, t in zip(combo, rest_t):
                 slots[t] = v
-            consider(tuple(slots))
+        if slots.count(None) > exhaust_limit:
+            return False
+        forbidden = [vt for vt, val in fixings.items() if not val]
+        best = _best_completion(objective, slots, forbidden)
+        if best is not None:
+            consider(best)
         stats.leaf_exhausts += 1
         return True
 
@@ -665,10 +647,10 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             if order is None:
                 break
             consider(order)
+            ticks = objective.ticks([order])[0].tolist()
             added = 0
             for j, (scen, _) in enumerate(pairs):
-                q_tu = oracle.scenario_ticks(order, scen) / TICKS_PER_TU
-                if res.x[master.nx + j] < q_tu - viol_tol:
+                if res.x[master.nx + j] < ticks[j] / TICKS_PER_TU - viol_tol:
                     _, cut = solve_dsp(instance, order, scen)
                     if master.add_cut(cut):
                         stats.cut_pool.append(cut)

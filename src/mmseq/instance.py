@@ -29,6 +29,10 @@ HIGH_RISK = "high"
 
 FORMAT_VERSION = "mms-instance/1"
 
+# libyaml's parser where PyYAML was built with it: the same safe
+# constructor and resolver as yaml.safe_load, several times faster
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class Station:
@@ -355,7 +359,7 @@ def load(path) -> Instance:
     """Parse and validate an instance file; raises ParseError / ConfigError."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,10 +1,8 @@
 """Thin linear-programming layer used by the exact solver.
 
-Models are stated in natural row form (senses <=, >=, ==) with explicit
-variable bounds.  Solving is delegated to scipy's HiGHS dual simplex,
-which returns vertex solutions and row duals; duals are reported as
-shadow prices d(objective)/d(rhs) for the problem as posed, so callers
-never see the internal sign flips.
+Models are minimisations stated in row form (senses <= and ==) with
+explicit variable bounds.  Solving is delegated to scipy's HiGHS dual
+simplex, which returns vertex solutions and per-row slacks.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from scipy.optimize import linprog
 
 from .errors import MMSeqError
 
-LE, GE, EQ = "<=", ">=", "=="
+LE, EQ = "<=", "=="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -25,13 +23,12 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    objective: np.ndarray            # coefficient per variable
+    objective: np.ndarray            # coefficient per variable, minimised
     a: np.ndarray                    # dense constraint matrix, rows x vars
-    senses: tuple[str, ...]          # one of LE / GE / EQ per row
+    senses: tuple[str, ...]          # LE or EQ per row
     rhs: np.ndarray
     lower: np.ndarray                # -inf allowed
     upper: np.ndarray                # +inf allowed
-    maximize: bool = False
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -47,7 +44,7 @@ class LinearProgram:
             raise ValueError("one sense per row required")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("one bound pair per variable required")
-        bad = set(self.senses) - {LE, GE, EQ}
+        bad = set(self.senses) - {LE, EQ}
         if bad:
             raise ValueError(f"unknown senses {bad}")
 
@@ -56,7 +53,6 @@ class LinearProgram:
 class LPResult:
     status: str
     x: np.ndarray | None
-    duals: np.ndarray | None         # shadow price per original row
     objective: float | None
     slack: np.ndarray | None = None  # per-row distance to the bound
 
@@ -69,23 +65,16 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     sits from its bound at the optimum (zero for equalities); callers
     use it to spot binding rows without recomputing products.
     """
-    sign = -1.0 if lp.maximize else 1.0
-    c = sign * lp.objective
-    m = len(lp.senses)
-
-    sense_arr = np.array(lp.senses)
-    eq_mask = sense_arr == EQ
-    ge_mask = sense_arr == GE
+    eq_mask = np.array(lp.senses) == EQ
     ub_mask = ~eq_mask
-    flips = np.where(ge_mask[ub_mask], -1.0, 1.0)
 
     a_eq = lp.a[eq_mask] if eq_mask.any() else None
     b_eq = lp.rhs[eq_mask] if eq_mask.any() else None
-    a_ub = lp.a[ub_mask] * flips[:, None] if ub_mask.any() else None
-    b_ub = lp.rhs[ub_mask] * flips if ub_mask.any() else None
+    a_ub = lp.a[ub_mask] if ub_mask.any() else None
+    b_ub = lp.rhs[ub_mask] if ub_mask.any() else None
 
     res = linprog(
-        c,
+        lp.objective,
         A_ub=a_ub,
         b_ub=b_ub,
         A_eq=a_eq,
@@ -94,20 +83,13 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         method="highs-ds",
     )
     if res.status == 2:
-        return LPResult(INFEASIBLE, None, None, None)
+        return LPResult(INFEASIBLE, None, None)
     if res.status == 3:
-        return LPResult(UNBOUNDED, None, None, None)
+        return LPResult(UNBOUNDED, None, None)
     if res.status != 0:
         raise MMSeqError(f"LP solve failed: {res.message}")
 
-    duals = np.zeros(m)
-    slack = np.zeros(m)
+    slack = np.zeros(len(lp.senses))
     if ub_mask.any():
-        duals[ub_mask] = flips * res.ineqlin.marginals
         slack[ub_mask] = res.slack
-    if eq_mask.any():
-        duals[eq_mask] = res.eqlin.marginals
-    if lp.maximize:
-        duals = -duals
-    return LPResult(OPTIMAL, np.asarray(res.x), duals, sign * float(res.fun),
-                    slack)
+    return LPResult(OPTIMAL, np.asarray(res.x), float(res.fun), slack)

@@ -21,7 +21,7 @@ from typing import Iterator
 import yaml
 
 from .errors import ParseError, SizeGuardError
-from .instance import Instance
+from .instance import SAFE_LOADER, Instance
 from .seeding import make_rng
 
 ENUMERATION_GUARD = 20
@@ -146,7 +146,7 @@ def save_sample(smp: Sample, path) -> None:
 def load_sample(path) -> Sample:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from mmseq.errors import StaleStateError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
-                             Sequence, effective_times, evaluate,
+                             Objective, Sequence, effective_times, evaluate,
                              evaluate_expected, evaluate_station,
                              evaluate_weighted, partial_reevaluate, trace_csv)
 from mmseq.instance import generate, preset_config
@@ -177,6 +177,32 @@ def test_weighted_expectation_matches_brute_force():
     want = math.fsum(
         p * evaluate(inst, order, s).total_overload for s, p in pairs)
     assert got == want / TU
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_objective_ticks_match_the_reference_recursion(seed, regen):
+    rng = make_rng(seed)
+    inst = random_instance(rng)
+    n = inst.n_vehicles
+    orders = [random_order(rng, n) for _ in range(4)]
+    scenarios = [random_scenario(rng, n) for _ in range(5)]
+    objective = Objective(inst, [(s, 1.0) for s in scenarios], regen)
+    assert objective.ticks(orders).tolist() == [
+        [evaluate(inst, o, s, regenerative=regen).total_overload
+         for s in scenarios] for o in orders]
+
+
+def test_objective_keys_are_exact_numerators():
+    inst = generate(preset_config(8, seed=22, size_class="small"))
+    orders = [tuple(range(8)), (7, 6, 5, 4, 3, 2, 1, 0)]
+    smp = sample(inst, 40, seed=4)
+    # multiplicities so large that the int64 dot product would wrap
+    huge = Sample(n=3 * 2**61, seed=None,
+                  unique=((smp.unique[0][0], 2**61), (smp.unique[1][0], 2**62)))
+    for scenarios in (smp, huge):
+        want = [sum(count * evaluate(inst, o, s).total_overload
+                    for s, count in scenarios.unique) for o in orders]
+        assert Objective(inst, scenarios).keys(orders) == want
 
 
 def test_trace_csv_shape():

@@ -1,5 +1,6 @@
 """Exact layer: recourse LPs, dual cuts, enumeration, branch-and-cut."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import mmseq.exact
 from mmseq.errors import SizeGuardError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Sequence, evaluate, evaluate_expected,
-                             evaluate_weighted)
+                             evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
                          enumerate_optimal, full_information, lshaped_solve,
                          recourse_lp, solve_dsp)
@@ -230,6 +231,25 @@ def test_enumerate_prefers_lexicographic_argmin():
     inst = Instance.of(7.0, (20.0, 15.0), vehicles)
     seq, _ = enumerate_optimal(inst, Sample.degenerate(inst))
     assert seq.order == (0, 1, 2, 3, 4)
+
+
+def test_enumerate_breaks_ties_across_batches():
+    # vehicles 0 and 7 are twins, so each optimum that starts with 0 has a
+    # twin that starts with 7, in a later batch of 5040 permutations
+    times = (10, 3, 11, 9, 6, 4, 4, 10)
+    inst = Instance.of(7, (10,), [Vehicle.of(v, False, (t,))
+                                  for v, t in enumerate(times)])
+    c, l = inst.cycle_time, inst.stations[0].length
+    costs = {perm: evaluate_station([times[v] * TICKS_PER_TU for v in perm],
+                                    c, l).total_overload
+             for perm in itertools.permutations(range(8))}
+    best = min(costs.values())
+    argmins = [perm for perm, cost in costs.items() if cost == best]
+    assert sum(perm[0] == 0 for perm in argmins) > 1
+    assert any(perm[0] == 7 for perm in argmins)
+    seq, val = enumerate_optimal(inst, Sample.degenerate(inst))
+    assert seq.order == min(argmins)
+    assert val == best / TICKS_PER_TU
 
 
 def test_enumerate_deterministic(rng):

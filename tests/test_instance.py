@@ -178,3 +178,10 @@ def test_instance_of_numbers_stations():
     assert [st.id for st in inst.stations] == [0, 1]
     assert inst.stations[0].length == 20 * TICKS_PER_TU
     assert inst.processing(1, 2) == 10 * TICKS_PER_TU
+
+
+def test_load_rejects_malformed_yaml(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("version: [mms-instance/1\ncycle_time: 7\n")
+    with pytest.raises(ParseError, match="bad.yaml"):
+        load(path)

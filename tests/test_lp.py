@@ -1,60 +1,58 @@
-"""Row-form LP layer: statuses, shadow-price signs, slacks."""
+"""Row-form LP layer: statuses, vertices, slacks."""
 
 import numpy as np
 import pytest
 
-from mmseq.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
-                      LinearProgram, LPResult, solve_lp)
+from mmseq.lp import (EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
+                      LPResult, solve_lp)
 
 INF = float("inf")
 
 
 def test_single_bound_maximize():
-    lp = LinearProgram(objective=[1.0], a=[[1.0]], senses=(LE,), rhs=[3.0],
-                       lower=[0.0], upper=[INF], maximize=True)
+    # max x  s.t.  x <= 3, posed as min -x
+    lp = LinearProgram(objective=[-1.0], a=[[1.0]], senses=(LE,), rhs=[3.0],
+                       lower=[0.0], upper=[INF])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(3.0)
+    assert res.objective == pytest.approx(-3.0)
     assert res.x[0] == pytest.approx(3.0)
-    # shadow price as d(objective)/d(rhs) for the problem as posed
-    assert res.duals[0] == pytest.approx(1.0)
     assert res.slack[0] == pytest.approx(0.0)
 
 
 def test_min_with_equality_tie():
-    # min x + y  s.t.  x + y >= 1,  x - y == 0
+    # min x + y  s.t.  -x - y <= -1,  x - y == 0
     lp = LinearProgram(objective=[1.0, 1.0],
-                       a=[[1.0, 1.0], [1.0, -1.0]],
-                       senses=(GE, EQ), rhs=[1.0, 0.0],
+                       a=[[-1.0, -1.0], [1.0, -1.0]],
+                       senses=(LE, EQ), rhs=[-1.0, 0.0],
                        lower=[0.0, 0.0], upper=[INF, INF])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0)
     assert res.x[0] == pytest.approx(0.5)
     assert res.x[1] == pytest.approx(0.5)
-    assert res.duals[0] == pytest.approx(1.0)
-    assert res.duals[1] == pytest.approx(0.0)
 
 
 def test_infeasible_reports_status_only():
     lp = LinearProgram(objective=[1.0], a=[[1.0]], senses=(LE,), rhs=[-1.0],
                        lower=[0.0], upper=[INF])
     res = solve_lp(lp)
-    assert res == LPResult(INFEASIBLE, None, None, None)
+    assert res == LPResult(INFEASIBLE, None, None)
 
 
 def test_unbounded_reports_status_only():
-    lp = LinearProgram(objective=[1.0], a=[[1.0]], senses=(GE,), rhs=[0.0],
-                       lower=[0.0], upper=[INF], maximize=True)
+    # min -x  s.t.  -x <= 0
+    lp = LinearProgram(objective=[-1.0], a=[[-1.0]], senses=(LE,), rhs=[0.0],
+                       lower=[0.0], upper=[INF])
     res = solve_lp(lp)
-    assert res == LPResult(UNBOUNDED, None, None, None)
+    assert res == LPResult(UNBOUNDED, None, None)
 
 
 def test_redundant_rows_still_terminate():
     lp = LinearProgram(objective=[1.0, 2.0],
-                       a=[[1.0, 1.0]] * 4 + [[1.0, 0.0]],
-                       senses=(GE, GE, GE, GE, GE),
-                       rhs=[2.0, 2.0, 2.0, 2.0, 0.0],
+                       a=[[-1.0, -1.0]] * 4 + [[-1.0, 0.0]],
+                       senses=(LE, LE, LE, LE, LE),
+                       rhs=[-2.0, -2.0, -2.0, -2.0, 0.0],
                        lower=[0.0, 0.0], upper=[INF, INF])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -63,18 +61,18 @@ def test_redundant_rows_still_terminate():
 
 
 def test_mixed_senses_vertex_and_slack():
-    # max x + z over [0,3]^3  s.t.  x <= 3,  y == 0,  x + z >= 2,  z <= 1
-    lp = LinearProgram(objective=[1.0, 0.0, 1.0],
+    # min -x - z over [0,3]^3  s.t.  x <= 3,  y == 0,  -x - z <= -2,  z <= 1
+    lp = LinearProgram(objective=[-1.0, 0.0, -1.0],
                        a=[[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
-                          [1.0, 0.0, 1.0],
+                          [-1.0, 0.0, -1.0],
                           [0.0, 0.0, 1.0]],
-                       senses=(LE, EQ, GE, LE),
-                       rhs=[3.0, 0.0, 2.0, 1.0],
-                       lower=[0.0] * 3, upper=[3.0] * 3, maximize=True)
+                       senses=(LE, EQ, LE, LE),
+                       rhs=[3.0, 0.0, -2.0, 1.0],
+                       lower=[0.0] * 3, upper=[3.0] * 3)
     res = solve_lp(lp)
     assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(4.0)
+    assert res.objective == pytest.approx(-4.0)
     np.testing.assert_allclose(res.x, [3.0, 0.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(res.slack, [0.0, 0.0, 2.0, 0.0], atol=1e-9)
 
@@ -84,23 +82,16 @@ def test_slack_matches_row_residuals(rng):
         n, m = 3, 4
         a = rng.normal(size=(m, n))
         x_feas = rng.uniform(0.2, 0.8, size=n)
-        senses, rhs = [], []
-        for i in range(m):
-            row = float(a[i] @ x_feas)
-            if i % 2 == 0:
-                senses.append(LE)
-                rhs.append(row + float(rng.uniform(0.0, 1.0)))
-            else:
-                senses.append(GE)
-                rhs.append(row - float(rng.uniform(0.0, 1.0)))
+        a[1::2] *= -1.0          # the >= rows of the same problems, as <=
+        rhs = [float(a[i] @ x_feas) + float(rng.uniform(0.0, 1.0))
+               for i in range(m)]
         lp = LinearProgram(objective=rng.normal(size=n), a=a,
-                           senses=tuple(senses), rhs=rhs,
+                           senses=(LE,) * m, rhs=rhs,
                            lower=np.zeros(n), upper=np.ones(n))
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         for i in range(m):
-            resid = float(a[i] @ res.x)
-            expect = rhs[i] - resid if senses[i] == LE else resid - rhs[i]
+            expect = rhs[i] - float(a[i] @ res.x)
             assert res.slack[i] == pytest.approx(expect, abs=1e-8)
             assert res.slack[i] >= -1e-9
 

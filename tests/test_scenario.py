@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mmseq.errors import SizeGuardError
+from mmseq.errors import ParseError, SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
 from mmseq.scenario import (Sample, Scenario, enumerate_all, load_sample,
@@ -160,3 +160,10 @@ def test_sample_file_round_trip(tmp_path):
     path = tmp_path / "sample.yaml"
     save_sample(smp, path)
     assert load_sample(path) == smp
+
+
+def test_load_sample_rejects_malformed_yaml(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("version: mms-sample/1\nscenarios: [{bits: \"01\"\n")
+    with pytest.raises(ParseError, match="bad.yaml"):
+        load_sample(path)
