@@ -8,8 +8,9 @@ from .assess import (MRPReport, SAAOutcome, SAATrace, enumeration_solver,
 from .errors import (ConfigError, MMSeqError, ParseError, SizeGuardError,
                      StaleStateError)
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, EvalState,
-                        Sequence, evaluate, evaluate_expected,
-                        evaluate_weighted, partial_reevaluate, trace_csv)
+                        Objective, Probe, Sequence, Trajectory, evaluate,
+                        evaluate_expected, evaluate_weighted,
+                        partial_reevaluate, trace_csv)
 from .exact import (ENUMERATION_GUARD, LSHAPED_GUARD, DualSolution,
                     ExactParams, LShapedResult, OptimalityCut, SolveStats,
                     WeightedScenarios, enumerate_optimal, full_information,

@@ -23,12 +23,15 @@ serves every scenario.  A removal transform (drop failed positions) and
 the zeroing transform used by the weaker formulation are provided for
 the equivalence tests.
 
-Every full evaluation of the sampled objective goes through Objective,
-which runs this recursion on a batch of orders one position at a time,
-each step vectorised over orders x scenarios x stations in int64, and
-weighs the per-scenario overloads.  evaluate / evaluate_station keep the
-full per-scenario trace (the reference in the tests, the cut duals and
-trace_csv), and partial_reevaluate serves the local search.
+Every evaluation of the sampled objective runs this recursion one
+position at a time, each step vectorised over scenarios x stations in
+int64.  Objective runs it on a batch of whole orders (vectorised over
+orders too) and weighs the per-scenario overloads; a Trajectory it
+builds caches z and w of one order, and partial_reevaluate prices a
+local-search move against it by rescanning only the window the move
+disturbs, for all scenarios and stations at once.  evaluate /
+evaluate_station keep the full per-scenario trace (the reference in the
+tests, the cut duals and trace_csv).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 
 from .errors import StaleStateError
 from .instance import Instance
-from .moves import INSERT_BACKWARD, INSERT_FORWARD, INVERSION, SWAP, Move, apply_to_order
-from .scenario import Sample, Scenario
+from .moves import SWAP, Move, apply_to_order
+from .scenario import Sample, Scenario, existence
 from .timeunits import TICKS_PER_TU, format_ticks
 
 REMOVAL = "removal"
@@ -135,13 +138,8 @@ def evaluate_station(b: list[int], cycle_time: int, length: int,
 
 @dataclass
 class EvalState:
-    """Full per-station trace of one (sequence, scenario) evaluation.
-
-    Mutable, single-owner: the local search keeps one per cached
-    scenario and splices unchanged tails on partial reevaluation.
-    recomputed_positions reports how many (station, position) cells the
-    last (re)evaluation actually visited.
-    """
+    """Full per-station trace of one (sequence, scenario) evaluation:
+    the per-scenario reference for the batched kernels and trace_csv."""
     order: tuple[int, ...]
     exists: tuple[int, ...]
     regenerative: bool
@@ -153,7 +151,6 @@ class EvalState:
     station_overload: list[int]
     total_overload: int
     total_idle: int
-    recomputed_positions: int
 
     @property
     def total_overload_tu(self) -> float:
@@ -184,7 +181,6 @@ def evaluate(instance: Instance, sequence, scenario: Scenario | None = None,
         station_overload=per_station,
         total_overload=sum(per_station),
         total_idle=sum(sum(i) for i in idles),
-        recomputed_positions=instance.n_stations * len(order),
     )
 
 
@@ -208,9 +204,8 @@ class Objective:
         self.lengths = np.array([st.length for st in instance.stations], dtype=np.int64)
         self.p = np.array([veh.processing_times for veh in instance.vehicles],
                           dtype=np.int64)
-        self.exists = np.ascontiguousarray(np.array(
-            [s.exists for s, _ in self.pairs], dtype=bool
-        ).reshape(len(self.pairs), instance.n_vehicles).T)
+        self.exists = (scenarios.existence if self.n is not None
+                       else existence([s for s, _ in self.pairs], instance.n_vehicles))
 
     def ticks(self, orders) -> np.ndarray:
         """Overload in ticks, summed over stations, of each order (rows
@@ -230,10 +225,13 @@ class Objective:
 
     def keys(self, orders) -> list:
         """Comparison key of each order in the batch (Python numbers)."""
-        ticks = self.ticks(orders)
+        return self._weigh(self.ticks(orders))
+
+    def _weigh(self, ticks) -> list:
+        """Weighted sum over scenarios (columns) of each row of ticks."""
         if self.n is None:
             return [math.fsum(row) for row in (ticks * self.weights).tolist()]
-        if int(ticks.max(initial=0)) * self.n < 2 ** 63:  # no int64 wrap
+        if int(np.abs(ticks).max(initial=0)) * self.n < 2 ** 63:  # no int64 wrap
             return (ticks @ self.weights).tolist()
         weights = self.weights.tolist()
         return [sum(map(operator.mul, row, weights)) for row in ticks.tolist()]
@@ -242,6 +240,10 @@ class Objective:
         if self.n is not None:
             return key / (self.n * TICKS_PER_TU)
         return key / TICKS_PER_TU
+
+    def trajectory(self, sequence) -> "Trajectory":
+        """The cached station trajectories of one order, for probing moves."""
+        return Trajectory(self, as_order(sequence))
 
 
 def evaluate_expected(instance: Instance, sequence, smp: Sample,
@@ -264,114 +266,127 @@ def evaluate_weighted(instance: Instance, sequence, scenario_weights,
 # ---------------------------------------------------------------------------
 # partial reevaluation
 
-def _b_at(row, c, exists, vehicle):
-    return row[vehicle] if exists[vehicle] else c
+@dataclass(frozen=True)
+class Probe:
+    """A move priced against a Trajectory: the moved order, the exact
+    change of the weighted overload, and the windows [a, b) of positions
+    the scan recomputed.  recomputed_positions counts the scanned
+    positions times the stations, the cells one scenario's scan visits."""
+    order: tuple[int, ...]
+    delta: int
+    windows: tuple[tuple[int, int], ...]
+    recomputed_positions: int
 
 
-def partial_reevaluate(state: EvalState, instance: Instance, old_sequence,
-                       move: Move) -> tuple[EvalState, int]:
-    """Reevaluate after a move, recomputing only what can have changed.
+class Trajectory:
+    """Station trajectories of one order under every scenario of a Sample.
+
+    z[t] is the entry state at position t and w[t] its overload, each a
+    scenarios x stations int64 array; z has one more row, the state after
+    the last position.  value is the exact numerator sum_w n_w * Q(order, w)
+    in ticks.  partial_reevaluate prices a move into preallocated buffers,
+    and commit splices the probed windows in.  Mutable, single-owner.
+    """
+
+    def __init__(self, objective: Objective, order: tuple[int, ...]):
+        if objective.n is None:
+            raise ValueError("a trajectory weighs scenarios by a Sample's counts")
+        self.objective = objective
+        self.order = order
+        T = len(order)
+        n_scenarios, n_stations = objective.exists.shape[1], len(objective.lengths)
+        c = objective.c
+        # eta[v] = b - c for vehicle v under every scenario at every station
+        eta = np.where(objective.exists[:, :, None], objective.p[:, None, :] - c, 0)
+        self._cap = objective.lengths - c
+        # the position whose overload is charged against the cycle time
+        self._last = T - 1 if objective.regenerative else T
+        self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=np.int64)
+        self.w = np.zeros((T, n_scenarios, n_stations), dtype=np.int64)
+        self._zbuf = np.zeros_like(self.z)
+        self._wbuf = np.zeros_like(self.w)
+        self._s = np.empty((n_scenarios, n_stations), dtype=np.int64)
+        # row views, indexed from Python lists in the scan loop
+        self._eta_rows = list(eta)
+        self._z_rows = list(self.z)
+        self._zbuf_rows = list(self._zbuf)
+        self._wbuf_rows = list(self._wbuf)
+        self._probe = None
+        self._scan(order, 0, T - 1, False)
+        self.z[1:] = self._zbuf[1:]
+        self.w[:] = self._wbuf
+        self.value = objective._weigh(self.w.sum(axis=(0, 2))[None, :])[0]
+
+    def _scan(self, order, t1: int, t2: int, swap: bool):
+        """Run the recursion for order into the buffers from the cached
+        entry state z[t1].  After t2 the scan stops at the first position
+        whose entry state equals the cached one in every row; in a swap's
+        unchanged interior (t1, t2) such a position bridges the scan to
+        t2.  Returns the scanned windows [a, b)."""
+        z, zbuf, wbuf, eta = self._z_rows, self._zbuf_rows, self._wbuf_rows, self._eta_rows
+        s, cap, last = self._s, self._cap, self._last
+        T = len(order)
+        windows = []
+        a = t = t1
+        zin = z[t1]
+        while t < T:
+            if ((t > t2 or swap and t1 < t < t2)
+                    and zin.tobytes() == z[t].tobytes()):
+                windows.append((a, t))
+                if t > t2:
+                    return windows
+                a = t = t2
+                zin = z[t2]
+            np.add(zin, eta[order[t]], out=s)
+            np.maximum(s, 0, out=s)
+            zin = zbuf[t + 1]
+            np.minimum(s, cap, out=zin)
+            if t == last:
+                np.copyto(wbuf[t], s)
+            else:
+                np.subtract(s, zin, out=wbuf[t])
+            t += 1
+        windows.append((a, T))
+        return windows
+
+    def commit(self, probe: Probe) -> None:
+        """Move to the probed order; only the probed windows are copied."""
+        if probe is not self._probe:
+            raise StaleStateError(
+                "probe was made against another order or overwritten by a later probe")
+        for a, b in probe.windows:
+            self.z[a + 1:b + 1] = self._zbuf[a + 1:b + 1]
+            self.w[a:b] = self._wbuf[a:b]
+        self.order = probe.order
+        self.value += probe.delta
+        self._probe = None
+
+
+def partial_reevaluate(trajectory: Trajectory, move: Move) -> tuple[Probe, int]:
+    """Price a move against the cached trajectory, recomputing only what
+    can have changed, for every scenario and station at once.
 
     Only positions >= t1 are touched.  Processing times beyond t2 are
     unchanged by every move kind, and the recursion is Markov in z, so
-    the scan stops at the first downstream position whose recomputed z
-    matches the cached one (per station); the cached tail is spliced.
-    For swaps the same rule also bridges the untouched interior (t1, t2).
+    the scan stops at the first position after t2 whose recomputed z
+    matches the cached one in every (scenario, station) row; for swaps
+    the same rule also bridges the untouched interior (t1, t2).
 
-    Returns (new state, overload delta in ticks).  The new state shares
-    no arrays with the old one.
+    Returns (probe, weighted overload delta in ticks).  The probe lives
+    in the trajectory's buffers until the next probe; commit applies it.
     """
-    old_order = as_order(old_sequence)
-    if old_order != state.order:
-        raise StaleStateError("cached state does not match the offered sequence")
-    new_order = apply_to_order(state.order, move)
-    exists = state.exists
-    c = instance.cycle_time
-    regen = state.regenerative
-    T = len(new_order)
-    t1, t2 = move.t1, move.t2
-    last = T - 1
-
-    eta2, z2, w2, idle2, per_station = [], [], [], [], []
-    recomputed = 0
-
-    for k in range(instance.n_stations):
-        row = [veh.processing_times[k] for veh in instance.vehicles]
-        length = instance.stations[k].length
-        cap = length - c
-        oz, ow, oidle, oeta = state.z[k], state.w[k], state.idle[k], state.eta[k]
-        z = list(oz)
-        w = list(ow)
-        idle = list(oidle)
-        eta = list(oeta)
-
-        # positions whose processing time changed
-        if move.kind == SWAP:
-            changed = (t1, t2)
-        else:
-            changed = range(t1, t2 + 1)
-        for t in changed:
-            eta[t] = _b_at(row, c, exists, new_order[t]) - c
-
-        total_delta = 0
-        cur = oz[t1]  # prefix < t1 untouched, so entry state at t1 is cached
-
-        def step(t, cur):
-            """Recompute position t from entry state cur; returns next z."""
-            nonlocal total_delta, recomputed
-            recomputed += 1
-            z[t] = cur
-            s = cur + eta[t] + c
-            border = c if (regen and t == last) else length
-            nw = s - border if s > border else 0
-            total_delta += nw - ow[t]
-            w[t] = nw
-            if t < last:
-                raw = s - c
-                if raw < 0:
-                    idle[t + 1] = -raw
-                    return 0
-                idle[t + 1] = 0
-                return raw if raw < cap else cap
-            return 0
-
-        if move.kind == SWAP:
-            cur = step(t1, cur)
-            t = t1 + 1
-            # interior (t1, t2) has unchanged processing times
-            while t < t2 and cur != oz[t]:
-                cur = step(t, cur)
-                t += 1
-            if t < t2:
-                cur = oz[t2]  # interior rejoined the cached trajectory
-            cur = step(t2, cur)
-            t = t2 + 1
-        else:
-            t = t1
-            while t <= t2:
-                cur = step(t, cur)
-                t += 1
-        while t < T and cur != oz[t]:
-            cur = step(t, cur)
-            t += 1
-        # splice: from position t on, z/w/idle equal the cached arrays
-
-        new_total = state.station_overload[k] + total_delta
-        eta2.append(eta)
-        z2.append(z)
-        w2.append(w)
-        idle2.append(idle)
-        per_station.append(new_total)
-
-    new_state = EvalState(
-        order=new_order, exists=exists, regenerative=regen,
-        cycle_time=c, eta=eta2, z=z2, w=w2, idle=idle2,
-        station_overload=per_station,
-        total_overload=sum(per_station),
-        total_idle=sum(sum(i) for i in idle2),
-        recomputed_positions=recomputed,
-    )
-    return new_state, new_state.total_overload - state.total_overload
+    order = apply_to_order(trajectory.order, move)
+    windows = trajectory._scan(order, move.t1, move.t2, move.kind == SWAP)
+    diff = 0   # scenarios x stations
+    positions = 0
+    for a, b in windows:
+        diff = diff + (trajectory._wbuf[a:b] - trajectory.w[a:b]).sum(axis=0)
+        positions += b - a
+    delta = trajectory.objective._weigh(diff.sum(axis=1)[None, :])[0]
+    probe = Probe(order, delta, tuple(windows),
+                  positions * trajectory.z.shape[2])
+    trajectory._probe = probe
+    return probe, delta
 
 
 def trace_csv(state: EvalState) -> str:

@@ -12,12 +12,14 @@ tick values weighted by integer counts keep sample averages exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import yaml
 
 from .errors import ParseError, SizeGuardError
@@ -96,6 +98,20 @@ class Sample:
     def n_unique(self) -> int:
         return len(self.unique)
 
+    @functools.cached_property
+    def existence(self) -> np.ndarray:
+        """Read-only vehicles x unique scenarios existence flags."""
+        n_vehicles = len(self.unique[0][0].exists) if self.unique else 0
+        return existence([s for s, _ in self.unique], n_vehicles)
+
+
+def existence(scenarios, n_vehicles: int) -> np.ndarray:
+    """Read-only vehicles x scenarios array of existence flags."""
+    flags = np.array([s.exists for s in scenarios], dtype=bool)
+    flags = np.ascontiguousarray(flags.reshape(len(scenarios), n_vehicles).T)
+    flags.flags.writeable = False
+    return flags
+
 
 def sample(instance: Instance, n: int, seed: int,
            forbid_low_risk_failures: bool = False) -> Sample:
@@ -106,16 +122,14 @@ def sample(instance: Instance, n: int, seed: int,
         raise ValueError("sample size must be at least 1")
     rng = make_rng(seed)
     u = rng.random((n, instance.n_vehicles))
-    probs = [veh.failure_prob for veh in instance.vehicles]
-    low = [veh.risk_class == "low" for veh in instance.vehicles]
-    scenarios = []
-    for i in range(n):
-        row = u[i]
-        exists = tuple(
-            1 if (forbid_low_risk_failures and low[v]) or row[v] >= probs[v] else 0
-            for v in range(instance.n_vehicles))
-        scenarios.append(Scenario(exists))
-    return Sample.from_scenarios(scenarios, seed=seed)
+    exists = u >= np.array([veh.failure_prob for veh in instance.vehicles])
+    if forbid_low_risk_failures:
+        exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
+    # np.unique sorts the rows lexicographically, the order Sample keeps
+    rows, counts = np.unique(exists.astype(np.int8), axis=0, return_counts=True)
+    unique = tuple((Scenario(tuple(row)), count)
+                   for row, count in zip(rows.tolist(), counts.tolist()))
+    return Sample(n=n, seed=seed, unique=unique)
 
 
 def enumerate_all(instance: Instance) -> Iterator[tuple[Scenario, float]]:

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .evaluator import EvalState, Sequence, as_order, evaluate, partial_reevaluate
+from .evaluator import Objective, Sequence, as_order, evaluate, partial_reevaluate
 from .instance import Instance
 from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS, SWAP,
                     Move, apply_to_order)
@@ -125,36 +125,35 @@ def is_tabu(instance: Instance, sequence, move: Move) -> bool:
 # search core
 
 class _Objective:
-    """Incumbent sequence with one cached EvalState per unique scenario;
-    value tracked as the exact integer numerator sum_w n_w * overload_w."""
+    """Incumbent order with its cached trajectory under every scenario of
+    the sample; value is the exact integer numerator sum_w n_w * overload_w."""
 
     def __init__(self, instance: Instance, order, smp: Sample):
         self.instance = instance
         self.smp = smp
-        self.states: list[tuple[int, EvalState]] = [
-            (count, evaluate(instance, order, s)) for s, count in smp.unique]
-        self.order = tuple(order)
-        self.value = sum(count * st.total_overload for count, st in self.states)
-        self.flags = [instance.vehicles[v].is_ev for v in self.order]
+        self.trajectory = Objective(instance, smp).trajectory(order)
+        self.flags = tuple(instance.vehicles[v].is_ev for v in order)
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return self.trajectory.order
+
+    @property
+    def value(self) -> int:
+        return self.trajectory.value
 
     def tu(self, value: int | None = None) -> float:
         v = self.value if value is None else value
         return v / (self.smp.n * TICKS_PER_TU)
 
-    def probe(self, move: Move):
-        new_states = []
-        delta = 0
-        for count, st in self.states:
-            ns, d = partial_reevaluate(st, self.instance, self.order, move)
-            new_states.append((count, ns))
-            delta += count * d
-        return new_states, delta
+    def reference_value(self, order) -> int:
+        """The numerator of order from the per-scenario reference recursion."""
+        return sum(count * evaluate(self.instance, order, s).total_overload
+                   for s, count in self.smp.unique)
 
-    def commit(self, move: Move, new_states, delta: int) -> None:
-        self.states = new_states
-        self.order = apply_to_order(self.order, move)
-        self.value += delta
-        self.flags = [self.instance.vehicles[v].is_ev for v in self.order]
+    def commit(self, move: Move, probe) -> None:
+        self.trajectory.commit(probe)
+        self.flags = apply_to_order(self.flags, move)
 
 
 def _draw_move(rng, weights, n: int, flags, tabu_enabled: bool,
@@ -195,14 +194,13 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
         operator = "none"
         if move is not None:
             operator = move.kind
-            new_states, delta = obj.probe(move)
+            probe, delta = partial_reevaluate(obj.trajectory, move)
             if (params.delta_check_every and
-                    it % params.delta_check_every == 0):
-                full = _Objective(obj.instance, apply_to_order(obj.order, move), obj.smp)
-                if full.value != obj.value + delta:
-                    raise AssertionError("partial reevaluation delta mismatch")
+                    it % params.delta_check_every == 0 and
+                    obj.reference_value(probe.order) != obj.value + delta):
+                raise AssertionError("partial reevaluation delta mismatch")
             if accept(delta):
-                obj.commit(move, new_states, delta)
+                obj.commit(move, probe)
                 accepted = True
                 if obj.value < best["value"]:
                     best["value"] = obj.value
@@ -238,7 +236,7 @@ def search(instance: Instance, smp: Sample, start, params: SearchParams
 
     obj2 = _Objective(instance, best1["order"], smp)
     start_value = (obj2.value if best1["order"] == start_order
-                   else _Objective(instance, start_order, smp).value)
+                   else obj2.trajectory.objective.keys([start_order])[0])
     best = {"order": start_order, "value": start_value}
     if obj2.value < best["value"]:
         best = {"order": obj2.order, "value": obj2.value}

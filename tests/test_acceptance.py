@@ -14,7 +14,7 @@ import pytest
 
 from mmseq.cli import main
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
-                             Sequence, effective_times, evaluate,
+                             Objective, Sequence, effective_times, evaluate,
                              evaluate_station, partial_reevaluate)
 from mmseq.exact import enumerate_optimal, lshaped_solve, recourse_lp
 from mmseq.greedy import construct
@@ -32,18 +32,6 @@ from conftest import (as_xmat, letters, random_instance, random_order,
                       random_scenario, window_instance, worked_example)
 
 TU = TICKS_PER_TU
-
-
-def states_match(a, b) -> bool:
-    """Full-trace equality; the visit meter is bookkeeping, not state."""
-    return (a.order == b.order and a.exists == b.exists
-            and a.regenerative == b.regenerative
-            and a.cycle_time == b.cycle_time
-            and a.eta == b.eta and a.z == b.z and a.w == b.w
-            and a.idle == b.idle
-            and a.station_overload == b.station_overload
-            and a.total_overload == b.total_overload
-            and a.total_idle == b.total_idle)
 
 
 def test_criterion_01_window_trace_and_bound():
@@ -145,22 +133,28 @@ def test_criterion_05_partial_reevaluation_exact_and_lazy():
     for iseed in (0, 1):
         inst = generate(preset_config(200, seed=iseed, size_class="large"))
         K = inst.n_stations
-        scen = sample(inst, 1, seed=9 + iseed).unique[0][0]
+        smp = sample(inst, 1, seed=9 + iseed)
+        scen = smp.unique[0][0]
         order = tuple(int(v) for v in rng.permutation(200))
-        state = evaluate(inst, order, scen)
+        traj = Objective(inst, smp).trajectory(order)
+        before = evaluate(inst, order, scen).total_overload
         for _ in range(5000):
             a = int(rng.integers(200))
             b = int(rng.integers(200))
             while b == a:
                 b = int(rng.integers(200))
             move = Move(MOVE_KINDS[int(rng.integers(4))], min(a, b), max(a, b))
-            new_state, delta = partial_reevaluate(state, inst, order, move)
+            probe, delta = partial_reevaluate(traj, move)
+            traj.commit(probe)
             order = apply_to_order(order, move)
             full = evaluate(inst, order, scen)
-            assert states_match(new_state, full)
-            assert delta == full.total_overload - state.total_overload
-            visit_shares.append(new_state.recomputed_positions / K)
-            state = new_state
+            assert traj.order == order
+            assert traj.z[:200, 0, :].T.tolist() == full.z
+            assert traj.w[:, 0, :].T.tolist() == full.w
+            assert delta == full.total_overload - before
+            assert traj.value == full.total_overload
+            visit_shares.append(probe.recomputed_positions / K)
+            before = full.total_overload
     assert len(visit_shares) == 10_000
     assert sum(visit_shares) / len(visit_shares) < 0.5 * 200
     assert time.perf_counter() - t0 < 120

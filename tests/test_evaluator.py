@@ -12,8 +12,8 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              evaluate_expected, evaluate_station,
                              evaluate_weighted, partial_reevaluate, trace_csv)
 from mmseq.instance import generate, preset_config
-from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, SWAP,
-                         Move, apply_to_order)
+from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
+                         SWAP, Move, apply_to_order)
 from mmseq.scenario import Sample, Scenario, enumerate_all, sample
 from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
@@ -216,51 +216,76 @@ def test_trace_csv_shape():
 # ---------------------------------------------------------------------------
 # partial reevaluation
 
+def matches_reference(traj, inst, smp, regen=True) -> bool:
+    """The trajectory's z, w and value equal the per-scenario reference."""
+    T = len(traj.order)
+    value = 0
+    for j, (scen, count) in enumerate(smp.unique):
+        ref = evaluate(inst, traj.order, scen, regenerative=regen)
+        if (traj.z[:T, j, :].T.tolist() != ref.z
+                or traj.w[:, j, :].T.tolist() != ref.w):
+            return False
+        value += count * ref.total_overload
+    return traj.value == value
+
+
+def reference_value(inst, order, smp, regen=True) -> int:
+    return sum(count * evaluate(inst, order, s, regenerative=regen).total_overload
+               for s, count in smp.unique)
+
+
 def test_swap_of_identical_vehicles_is_free():
     base = generate(preset_config(9, seed=30, size_class="medium"))
     veh = base.vehicles
     twin = dataclasses.replace(veh[6], processing_times=veh[2].processing_times,
                                is_ev=veh[2].is_ev)
     inst = dataclasses.replace(base, vehicles=veh[:6] + (twin,) + veh[7:])
-    order = tuple(range(9))
-    state = evaluate(inst, order)
-    new_state, delta = partial_reevaluate(state, inst, order, Move(SWAP, 2, 6))
-    assert delta == 0
-    assert new_state.total_overload == state.total_overload
-    # the scan stops right after the two touched positions in every station
-    assert new_state.recomputed_positions == 2 * inst.n_stations
+    traj = Objective(inst, Sample.degenerate(inst)).trajectory(tuple(range(9)))
+    probe, delta = partial_reevaluate(traj, Move(SWAP, 2, 6))
+    assert delta == probe.delta == 0
+    # the scan stops right after each of the two touched positions
+    assert probe.windows == ((2, 3), (6, 7))
+    assert probe.recomputed_positions == 2 * inst.n_stations
 
 
 def test_window_swap_delta_matches_full():
     inst = window_instance()
     order = tuple(range(5))
-    state = evaluate(inst, order)
+    smp = Sample.degenerate(inst)
+    traj = Objective(inst, smp).trajectory(order)
+    before = traj.value
     move = Move(SWAP, 1, 3)
-    new_state, delta = partial_reevaluate(state, inst, order, move)
+    probe, delta = partial_reevaluate(traj, move)
     full = evaluate(inst, apply_to_order(order, move))
-    assert new_state.total_overload == full.total_overload
-    assert delta == full.total_overload - state.total_overload
-    assert new_state.z == full.z and new_state.w == full.w
-    assert new_state.idle == full.idle
+    assert delta == full.total_overload - before
+    traj.commit(probe)
+    assert traj.order == full.order
+    assert matches_reference(traj, inst, smp)
 
 
 def test_stale_state_is_rejected():
     inst = window_instance()
-    state = evaluate(inst, (0, 1, 2, 3, 4))
+    traj = Objective(inst, Sample.degenerate(inst)).trajectory((0, 1, 2, 3, 4))
+    first, _ = partial_reevaluate(traj, Move(SWAP, 0, 1))
+    second, _ = partial_reevaluate(traj, Move(INVERSION, 1, 4))
     with pytest.raises(StaleStateError):
-        partial_reevaluate(state, inst, (1, 0, 2, 3, 4), Move(SWAP, 0, 1))
+        traj.commit(first)     # its window was overwritten by the second probe
+    traj.commit(second)
+    with pytest.raises(StaleStateError):
+        traj.commit(second)    # made against the order before the commit
+    assert traj.order == (0, 4, 3, 2, 1)
 
 
-def equal_states(a, b) -> bool:
-    """Field-by-field comparison; the visit counter is a meter, not state."""
-    return (a.order == b.order and a.exists == b.exists
-            and a.regenerative == b.regenerative
-            and a.cycle_time == b.cycle_time
-            and a.eta == b.eta and a.z == b.z and a.w == b.w
-            and a.idle == b.idle
-            and a.station_overload == b.station_overload
-            and a.total_overload == b.total_overload
-            and a.total_idle == b.total_idle)
+def test_trajectory_needs_integer_counts():
+    inst = window_instance()
+    with pytest.raises(ValueError, match="Sample"):
+        Objective(inst, [(Scenario.all_exist(5), 1.0)]).trajectory(range(5))
+
+
+def chain_sample(rng, n: int) -> Sample:
+    """A few random scenarios, some drawn more than once."""
+    scenarios = [random_scenario(rng, n) for _ in range(int(rng.integers(1, 6)))]
+    return Sample.from_scenarios(scenarios + scenarios[:2] + scenarios[:1])
 
 
 def test_random_move_chains_match_full_evaluation():
@@ -270,16 +295,36 @@ def test_random_move_chains_match_full_evaluation():
         inst = random_instance(rng)
         n = inst.n_vehicles
         order = random_order(rng, n)
-        scen = random_scenario(rng, n)
+        smp = chain_sample(rng, n)
         regen = bool(rng.integers(0, 2))
-        state = evaluate(inst, order, scen, regenerative=regen)
+        traj = Objective(inst, smp, regen).trajectory(order)
         for _ in range(25):
             a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
             move = Move(kinds[int(rng.integers(0, 4))], int(a), int(b))
-            before = state.total_overload
-            state, delta = partial_reevaluate(state, inst, order, move)
+            before = traj.value
+            probe, delta = partial_reevaluate(traj, move)
+            traj.commit(probe)
             order = apply_to_order(order, move)
-            full = evaluate(inst, order, scen, regenerative=regen)
-            assert equal_states(state, full)
-            assert delta == full.total_overload - before
-        assert state.order == order
+            assert matches_reference(traj, inst, smp, regen)
+            assert delta == traj.value - before
+        assert traj.order == order
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_probes_match_the_reference_recursion(seed, regen):
+    rng = make_rng(seed)
+    inst = random_instance(rng)
+    n = inst.n_vehicles
+    smp = chain_sample(rng, n)
+    traj = Objective(inst, smp, regen).trajectory(random_order(rng, n))
+    assert matches_reference(traj, inst, smp, regen)
+    for _ in range(12):
+        a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+        move = Move(MOVE_KINDS[int(rng.integers(0, 4))], a, b)
+        probe, delta = partial_reevaluate(traj, move)
+        assert probe.order == apply_to_order(traj.order, move)
+        assert delta == (reference_value(inst, probe.order, smp, regen)
+                         - reference_value(inst, traj.order, smp, regen))
+        if rng.random() < 0.5:   # rejected probes leave stale buffers behind
+            traj.commit(probe)
+            assert matches_reference(traj, inst, smp, regen)

@@ -10,6 +10,7 @@ from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
 from mmseq.scenario import (Sample, Scenario, enumerate_all, load_sample,
                             sample, save_sample, scenario_probability)
+from mmseq.seeding import make_rng
 
 
 def two_vehicle_instance(f0: float, f1: float) -> Instance:
@@ -129,6 +130,35 @@ def test_sampling_law_frequencies():
     for v in range(2):
         assert abs(fails[v] / 10_000 - 0.3) <= 0.02
     assert all(f == 0 for f in fails[2:])
+
+
+def per_draw_sample(inst, n, seed, forbid_low_risk_failures):
+    """Reference: one Scenario per draw, deduplicated afterwards."""
+    u = make_rng(seed).random((n, inst.n_vehicles))
+    return Sample.from_scenarios([
+        Scenario(tuple(
+            1 if (forbid_low_risk_failures and veh.risk_class == LOW_RISK)
+            or u[i][v] >= veh.failure_prob else 0
+            for v, veh in enumerate(inst.vehicles)))
+        for i in range(n)], seed=seed)
+
+
+@pytest.mark.parametrize("forbid", [False, True])
+def test_sample_matches_the_per_draw_reference(forbid):
+    inst = generate(preset_config(40, seed=3, size_class="large"))
+    smp = sample(inst, 500, seed=7, forbid_low_risk_failures=forbid)
+    assert smp == per_draw_sample(inst, 500, 7, forbid)
+    assert smp != sample(inst, 500, seed=7, forbid_low_risk_failures=not forbid)
+
+
+def test_sample_existence_is_cached_and_read_only():
+    inst = generate(preset_config(8, seed=4, size_class="small"))
+    smp = sample(inst, 200, seed=3)
+    flags = smp.existence
+    assert flags is smp.existence
+    assert flags.T.astype(int).tolist() == [list(s.exists) for s, _ in smp.unique]
+    with pytest.raises(ValueError):
+        flags[0, 0] = not flags[0, 0]
 
 
 def test_from_scenarios_deduplicates():

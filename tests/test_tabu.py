@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import mmseq.tabu
 from mmseq.evaluator import Sequence, evaluate_expected
 from mmseq.exact import enumerate_optimal
 from mmseq.greedy import construct
@@ -218,6 +219,20 @@ def test_delta_spot_checks_change_nothing():
     b2, h2 = search(inst, smp, start, checked)
     assert b1.order == b2.order
     assert h1 == h2
+
+
+def test_delta_spot_check_catches_a_wrong_delta(monkeypatch):
+    inst, smp, start = small_setup(iseed=12)
+    probe_move = mmseq.tabu.partial_reevaluate
+
+    def off_by_one(trajectory, move):
+        probe, delta = probe_move(trajectory, move)
+        return probe, delta + 1
+
+    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", off_by_one)
+    with pytest.raises(AssertionError, match="delta mismatch"):
+        search(inst, smp, start, SearchParams(iters_one=0, iters_full=20, seed=9,
+                                              delta_check_every=1))
 
 
 def test_history_csv_format():
