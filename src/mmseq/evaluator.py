@@ -1,37 +1,40 @@
 """Second-stage cost of a sequence under a failure scenario.
 
 The closed-station dynamics at one station reduce to a single forward
-recursion over positions t = 0..T-1 in integer ticks:
+recursion over positions t = 0..T-1 in integer ticks.  With
+eta[t] = b[t] - c, the processing time at that position after the
+scenario transform less the cycle time, and cap = l - c:
 
     start position   z[0] = 0
-    work overload    w[t] = max(0, z[t] + b[t] - l)          (interior)
-                     w[T-1] = max(0, z[T-1] + b[T-1] - c)    (regenerative end)
-    next start       z[t+1] = max(0, min(l - c, z[t] + b[t] - c))
-    idle on entry    idle[t+1] = max(0, c - z[t] - b[t])
+    carried work     s[t] = max(0, z[t] + eta[t])
+    next start       z[t+1] = min(s[t], cap)
+    work overload    w[t] = s[t] - z[t+1]                    (interior)
+                     w[T-1] = s[T-1]                         (regenerative end)
+    idle on entry    idle[t+1] = s[t] - (z[t] + eta[t])
 
-where b[t] is the processing time at that position after the scenario
-transform.  The regenerative end charges whatever work would push the
-next cycle past the left border, so a full-information run can be cut
-at any window boundary; switching it off reproduces an open-ended
-window.  The recursion attains the optimum of the equivalent linear
-program position by position, which the exact-solver tests cross-check.
+The regenerative end charges whatever work would push the next cycle
+past the left border, so a full-information run can be cut at any
+window boundary; switching it off reproduces an open-ended window.
+The recursion attains the optimum of the equivalent linear program
+position by position, which the exact-solver tests cross-check.
 
 Failed vehicles are neutralized rather than removed: their effective
-processing time equals the cycle time, which provably leaves z
-untouched and adds no overload, so one fixed-length position axis
+processing time equals the cycle time (eta = 0), which provably leaves
+z untouched and adds no overload, so one fixed-length position axis
 serves every scenario.  A removal transform (drop failed positions) and
 the zeroing transform used by the weaker formulation are provided for
 the equivalence tests.
 
-Every evaluation of the sampled objective runs this recursion one
-position at a time, each step vectorised over scenarios x stations in
-int64.  Objective runs it on a batch of whole orders (vectorised over
-orders too) and weighs the per-scenario overloads; a Trajectory it
-builds caches z and w of one order, and partial_reevaluate prices a
-local-search move against it by rescanning only the window the move
-disturbs, for all scenarios and stations at once.  evaluate /
-evaluate_station keep the full per-scenario trace (the reference in the
-tests, the cut duals and trace_csv).
+The recursion is written twice.  evaluate_station runs it for one
+scenario and station in pure Python and keeps the full trace: it is the
+reference in the tests, and it feeds the cut duals and trace_csv.
+station_step is one position of it, elementwise over any broadcast
+shape of int64 arrays, and every batched caller runs on it:
+Objective.ticks over orders x scenarios x stations for full
+evaluations, Trajectory._scan over scenarios x stations for
+local-search probes (partial_reevaluate rescans only the window a move
+disturbs), and greedy.construct over candidates x stations on the
+nominal scenario.
 """
 
 from __future__ import annotations
@@ -136,6 +139,22 @@ def evaluate_station(b: list[int], cycle_time: int, length: int,
     return StationEval(z, w, idle, sum(w), sum(idle))
 
 
+def station_step(z, eta, cap, last: bool = False, out=(None, None, None)):
+    """One position of the recursion in eta form, elementwise over any
+    broadcast shape: s = max(z + eta, 0), z' = min(s, cap), and
+    w = s - z', or w = s at the regenerative last position.
+
+    out holds optional buffers for (s, z', w); z' may be z itself.
+    Returns (s, z', w).
+    """
+    s, z_next, w = out
+    s = np.add(z, eta, out=s)
+    np.maximum(s, 0, out=s)
+    z_next = np.minimum(s, cap, out=z_next)
+    w = np.subtract(s, 0 if last else z_next, out=w)
+    return s, z_next, w
+
+
 @dataclass
 class EvalState:
     """Full per-station trace of one (sequence, scenario) evaluation:
@@ -200,10 +219,11 @@ class Objective:
         self.weights = np.array([w for _, w in self.pairs],
                                 dtype=np.int64 if self.n is not None else float)
         self.regenerative = regenerative
-        self.c = instance.cycle_time
-        self.lengths = np.array([st.length for st in instance.stations], dtype=np.int64)
-        self.p = np.array([veh.processing_times for veh in instance.vehicles],
-                          dtype=np.int64)
+        c = instance.cycle_time
+        self.cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
+        # eta[v] = p[v] - c, vehicle v's eta at every station when it exists
+        self.eta = np.array([veh.processing_times for veh in instance.vehicles],
+                            dtype=np.int64) - c
         self.exists = (scenarios.existence if self.n is not None
                        else existence([s for s, _ in self.pairs], instance.n_vehicles))
 
@@ -212,16 +232,15 @@ class Objective:
         of a 2-D batch) under each scenario (columns)."""
         orders = np.asarray(orders, dtype=np.intp)
         n_orders, T = orders.shape
-        c, lengths = self.c, self.lengths
-        cur = np.zeros((n_orders, len(self.pairs), len(lengths)), dtype=np.int64)
-        w = np.zeros_like(cur)
+        last = T - 1 if self.regenerative else T
+        z = np.zeros((n_orders, self.exists.shape[1], len(self.cap)), dtype=np.int64)
+        s, w, total = np.empty_like(z), np.empty_like(z), np.zeros_like(z)
         for t in range(T):
             v = orders[:, t]
-            s = cur + np.where(self.exists[v][:, :, None], self.p[v][:, None, :], c)
-            border = c if (self.regenerative and t == T - 1) else lengths
-            w += np.maximum(s - border, 0)
-            cur = np.clip(s - c, 0, lengths - c)
-        return w.sum(axis=2)
+            eta = np.where(self.exists[v][:, :, None], self.eta[v][:, None, :], 0)
+            station_step(z, eta, self.cap, t == last, out=(s, z, w))
+            total += w
+        return total.sum(axis=2)
 
     def keys(self, orders) -> list:
         """Comparison key of each order in the batch (Python numbers)."""
@@ -294,11 +313,9 @@ class Trajectory:
         self.objective = objective
         self.order = order
         T = len(order)
-        n_scenarios, n_stations = objective.exists.shape[1], len(objective.lengths)
-        c = objective.c
+        n_scenarios, n_stations = objective.exists.shape[1], len(objective.cap)
         # eta[v] = b - c for vehicle v under every scenario at every station
-        eta = np.where(objective.exists[:, :, None], objective.p[:, None, :] - c, 0)
-        self._cap = objective.lengths - c
+        eta = np.where(objective.exists[:, :, None], objective.eta[:, None, :], 0)
         # the position whose overload is charged against the cycle time
         self._last = T - 1 if objective.regenerative else T
         self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=np.int64)
@@ -324,7 +341,7 @@ class Trajectory:
         unchanged interior (t1, t2) such a position bridges the scan to
         t2.  Returns the scanned windows [a, b)."""
         z, zbuf, wbuf, eta = self._z_rows, self._zbuf_rows, self._wbuf_rows, self._eta_rows
-        s, cap, last = self._s, self._cap, self._last
+        s, cap, last = self._s, self.objective.cap, self._last
         T = len(order)
         windows = []
         a = t = t1
@@ -337,14 +354,8 @@ class Trajectory:
                     return windows
                 a = t = t2
                 zin = z[t2]
-            np.add(zin, eta[order[t]], out=s)
-            np.maximum(s, 0, out=s)
-            zin = zbuf[t + 1]
-            np.minimum(s, cap, out=zin)
-            if t == last:
-                np.copyto(wbuf[t], s)
-            else:
-                np.subtract(s, zin, out=wbuf[t])
+            _, zin, _ = station_step(zin, eta[order[t]], cap, t == last,
+                                     out=(s, zbuf[t + 1], wbuf[t]))
             t += 1
         windows.append((a, T))
         return windows

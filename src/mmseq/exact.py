@@ -392,7 +392,6 @@ class SolveStats:
     leaf_exhausts: int = 0
     root_bounds: list = field(default_factory=list)
     cut_pool: list = field(default_factory=list)
-    log: list = field(default_factory=list)
     status: str = "optimal"
     wall_time: float | None = None
 
@@ -584,7 +583,6 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             best_key = key
             best_order = order
             best_tu = objective.tu(key)
-            stats.log.append(f"incumbent {best_tu:.6f} {order}")
 
     # warm incumbent from the greedy constructor: pruning starts working
     # at the root for the price of one evaluation
@@ -682,10 +680,6 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
                         child[pick] = val
                         heappush(heap, (node_bound, depth, counter, child))
                         counter += 1
-        stats.log.append(
-            f"node {stats.nodes} bound "
-            f"{res.objective if res.status == OPTIMAL else float('nan'):.6f} "
-            f"ub {best_tu:.6f} cuts {master.n_cuts} open {len(heap)}")
         master.maybe_evict()
         if best_tu - open_bound() <= params.gap_tol:
             lb_final = open_bound()

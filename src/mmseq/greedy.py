@@ -12,14 +12,19 @@ weight
 over the unassigned set U, with ties broken by lowest vehicle id.  The
 first position skips the overload stage (nothing can overload yet);
 the final position's overload check uses the regenerative border.
+Both filters read one evaluator.station_step over candidates x
+stations on the no-failure dynamics: overload is its w, idle time is
+s - (z + eta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
-from .evaluator import Sequence
+from .evaluator import Sequence, station_step
 from .instance import Instance
 from .seeding import derive_seed, make_rng
 from .timeunits import TICKS_PER_TU
@@ -86,15 +91,15 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
     """Build a full sequence (no-failure dynamics).  Only the EV pattern
     draws randomness; everything else is deterministic with id tie-breaks."""
     n = instance.n_vehicles
-    K = instance.n_stations
     c = instance.cycle_time
-    lengths = [st.length for st in instance.stations]
-    caps = [l - c for l in lengths]
+    cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
+    eta = np.array([veh.processing_times for veh in instance.vehicles],
+                   dtype=np.int64) - c
     ev_total = sum(1 for veh in instance.vehicles if veh.is_ev)
 
     pattern = list(ev_position_pattern(ev_total, n, derive_seed(seed, 0)))
     unassigned = set(range(n))
-    z = [0] * K
+    z = np.zeros(len(cap), dtype=np.int64)
     order = []
     rows = []
     last = n - 1
@@ -113,25 +118,18 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
             tail = ev_position_pattern(evs_left, n - t - 1, derive_seed(seed, 1, t))
             pattern[t + 1:] = list(tail)
 
+        # one recursion step per candidate (rows) and station (columns)
+        cand_eta = eta[cands]
+        s, z_next, w = station_step(z, cand_eta, cap, t == last)
+        keep = np.ones(len(cands), dtype=bool)
         if t > 0:
-            border = [c if t == last else lengths[k] for k in range(K)]
-            overload = {
-                v: sum(max(0, z[k] + instance.processing(k, v) - border[k])
-                       for k in range(K))
-                for v in cands}
-            best = min(overload.values())
-            cands_wo = [v for v in cands if overload[v] == best]
-        else:
-            cands_wo = cands
-
+            overload = w.sum(axis=1)
+            keep = overload == overload.min()
+        n_after_overload = int(keep.sum())
         if t < last:
-            idle = {v: sum(max(0, c - z[k] - instance.processing(k, v))
-                           for k in range(K))
-                    for v in cands_wo}
-            best = min(idle.values())
-            cands_idle = [v for v in cands_wo if idle[v] == best]
-        else:
-            cands_idle = cands_wo
+            idle = (s - (z + cand_eta)).sum(axis=1)
+            keep &= idle == idle[keep].min()
+        cands_idle = [v for v, k in zip(cands, keep.tolist()) if k]
 
         chosen = max(cands_idle,
                      key=lambda v: (utilization_weight(instance, unassigned, v), -v))
@@ -139,11 +137,9 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
         unassigned.remove(chosen)
         rows.append(GreedyTraceRow(
             position=t, category="ev" if want_ev else "non_ev",
-            n_candidates=len(cands), n_after_overload=len(cands_wo),
+            n_candidates=len(cands), n_after_overload=n_after_overload,
             n_after_idle=len(cands_idle), chosen=chosen))
-        for k in range(K):
-            raw = z[k] + instance.processing(k, chosen) - c
-            z[k] = 0 if raw < 0 else (raw if raw < caps[k] else caps[k])
+        z = z_next[cands.index(chosen)]
 
     if sorted(order) != list(range(n)):
         raise ConfigError("constructive heuristic failed to place every vehicle")

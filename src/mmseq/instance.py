@@ -349,10 +349,38 @@ def _need(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _warn_unknown(mapping: dict, known: set[str], context: str) -> None:
-    extra = sorted(set(mapping) - known)
+def _rows(doc: dict, key: str, context: str) -> list:
+    rows = _need(doc, key, context) or []
+    if not isinstance(rows, list):
+        raise ParseError(f"{context}: {key} must be a list")
+    return rows
+
+
+def _fields(row, known: set[str], context: str) -> None:
+    """Check that a row is a mapping and warn about keys outside known."""
+    if not isinstance(row, dict):
+        raise ParseError(f"{context}: expected a mapping, got {row!r}")
+    extra = sorted(set(row) - known)
     if extra:
         warnings.warn(f"{context}: ignoring unknown fields {extra}", stacklevel=3)
+
+
+def _bad(context: str, key: str, value, expected: str) -> ParseError:
+    return ParseError(f"{context}: bad {key} {value!r}, expected {expected}")
+
+
+def _id(row: dict, context: str) -> int:
+    value = _need(row, "id", context)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(context, "id", value, "an integer")
+    return value
+
+
+def _ticks(value, key: str, context: str) -> int:
+    try:
+        return to_ticks(str(value))
+    except (ArithmeticError, ValueError) as exc:
+        raise _bad(context, key, value, "a duration") from exc
 
 
 def load(path) -> Instance:
@@ -367,32 +395,38 @@ def load(path) -> Instance:
     version = _need(doc, "version", str(path))
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported version {version!r}")
-    _warn_unknown(doc, {"version", "cycle_time", "stations", "vehicles"}, str(path))
+    _fields(doc, {"version", "cycle_time", "stations", "vehicles"}, str(path))
 
-    try:
-        cycle = to_ticks(str(_need(doc, "cycle_time", str(path))))
-    except ArithmeticError as exc:
-        raise ParseError(f"{path}: bad cycle_time: {exc}") from exc
+    cycle = _ticks(_need(doc, "cycle_time", str(path)), "cycle_time", str(path))
 
     stations = []
-    for i, row in enumerate(_need(doc, "stations", str(path)) or []):
+    for i, row in enumerate(_rows(doc, "stations", str(path))):
         ctx = f"{path}: stations[{i}]"
-        _warn_unknown(row, {"id", "length"}, ctx)
-        stations.append(Station(int(_need(row, "id", ctx)),
-                                to_ticks(str(_need(row, "length", ctx)))))
+        _fields(row, {"id", "length"}, ctx)
+        stations.append(Station(_id(row, ctx),
+                                _ticks(_need(row, "length", ctx), "length", ctx)))
     vehicles = []
-    for i, row in enumerate(_need(doc, "vehicles", str(path)) or []):
+    for i, row in enumerate(_rows(doc, "vehicles", str(path))):
         ctx = f"{path}: vehicles[{i}]"
-        _warn_unknown(row, {"id", "is_ev", "risk_class", "failure_prob",
-                            "processing_times"}, ctx)
+        _fields(row, {"id", "is_ev", "risk_class", "failure_prob",
+                      "processing_times"}, ctx)
         times = _need(row, "processing_times", ctx)
         if not isinstance(times, list):
             raise ParseError(f"{ctx}: processing_times must be a list")
+        is_ev = _need(row, "is_ev", ctx)
+        if not isinstance(is_ev, bool):
+            raise _bad(ctx, "is_ev", is_ev, "true or false")
+        failure_prob = _need(row, "failure_prob", ctx)
+        try:
+            failure_prob = float(failure_prob)
+        except (TypeError, ValueError) as exc:
+            raise _bad(ctx, "failure_prob", failure_prob, "a number") from exc
         vehicles.append(Vehicle(
-            id=int(_need(row, "id", ctx)),
-            is_ev=bool(_need(row, "is_ev", ctx)),
-            processing_times=tuple(to_ticks(str(t)) for t in times),
-            failure_prob=float(_need(row, "failure_prob", ctx)),
+            id=_id(row, ctx),
+            is_ev=is_ev,
+            processing_times=tuple(_ticks(t, f"processing_times[{k}]", ctx)
+                                   for k, t in enumerate(times)),
+            failure_prob=failure_prob,
             risk_class=str(_need(row, "risk_class", ctx)),
         ))
 

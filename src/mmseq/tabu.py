@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+
+import numpy as np
 
 from .evaluator import Objective, Sequence, as_order, evaluate, partial_reevaluate
 from .instance import Instance
@@ -156,10 +159,23 @@ class _Objective:
         self.flags = apply_to_order(self.flags, move)
 
 
-def _draw_move(rng, weights, n: int, flags, tabu_enabled: bool,
+def _cumulative(weights) -> list[float]:
+    """Cumulative operator weights normalised by their total, computed
+    as Generator.choice computes them."""
+    cdf = np.cumsum(weights, dtype=float)
+    return (cdf / cdf[-1]).tolist()
+
+
+def _draw_kind(rng, cdf) -> str:
+    """The move kind rng.choice(4, p=weights) draws, from the same one
+    uniform variate, without re-validating the weights on every call."""
+    return MOVE_KINDS[bisect_right(cdf, rng.random())]
+
+
+def _draw_move(rng, cdf, n: int, flags, tabu_enabled: bool,
                max_redraws: int) -> Move | None:
     for _ in range(max_redraws):
-        kind = MOVE_KINDS[int(rng.choice(4, p=weights))]
+        kind = _draw_kind(rng, cdf)
         a = int(rng.integers(n))
         b = int(rng.integers(n))
         if a == b:
@@ -176,7 +192,7 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
                best: dict, accept, cool=None) -> None:
     """Shared inner loop.  accept(delta_ticksN) decides; best holds the
     best-so-far (strictly better replaces; ties keep the earlier find)."""
-    weights = list(params.operator_weights)
+    cdf = _cumulative(params.operator_weights)
     n = len(obj.order)
     deterministic = iters is not None
     t0 = time.perf_counter()
@@ -188,7 +204,7 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
         elif time.perf_counter() - t0 >= seconds:
             break
         it += 1
-        move = _draw_move(rng, weights, n, obj.flags,
+        move = _draw_move(rng, cdf, n, obj.flags,
                           tabu_enabled=accept.tabu, max_redraws=params.max_tabu_redraws)
         accepted = False
         operator = "none"

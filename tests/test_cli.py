@@ -3,6 +3,7 @@
 import os
 
 import pytest
+import yaml
 
 from mmseq.cli import (COMPARE_HEADER, RUN_HEADER, RunRecord, format_solution,
                        main, parse_solution)
@@ -188,6 +189,37 @@ def test_solve_missing_instance_exits_2(capsys):
                          "--method", "greedy")
     assert rc == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("section, index, key, value, where", [
+    ("vehicles", 1, "id", "x0", "vehicles[1]: bad id"),
+    ("stations", 2, "id", "x0", "stations[2]: bad id"),
+    ("vehicles", 3, "processing_times", [90.0, "abc", 90.0, 90.0, 90.0],
+     "vehicles[3]: bad processing_times[1]"),
+    ("stations", 0, "length", "abc", "stations[0]: bad length"),
+    ("vehicles", 0, "failure_prob", "abc", "vehicles[0]: bad failure_prob"),
+    ("vehicles", 4, None, 17, "vehicles[4]: expected a mapping"),
+    ("stations", 1, None, 17, "stations[1]: expected a mapping"),
+    ("stations", None, None, 17, "stations must be a list"),
+    ("vehicles", 2, "is_ev", "false", "vehicles[2]: bad is_ev"),
+])
+def test_solve_malformed_instance_exits_2(instance_file, capsys, section, index,
+                                          key, value, where):
+    path = instance_file(n=7, seed=103)
+    with open(path, encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    if index is None:
+        doc[section] = value
+    elif key is None:
+        doc[section][index] = value
+    else:
+        doc[section][index][key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh)
+    rc, out, err = run_cli(capsys, "solve", "--instance", path, "--method", "greedy")
+    assert rc == 2
+    assert where in err
+    assert "Traceback" not in out + err
 
 
 def test_solve_enum_guard_exits_3(instance_file, capsys):

@@ -1,5 +1,7 @@
 """Constructive heuristic: weight formula, EV pattern, full builds."""
 
+import hashlib
+
 import pytest
 
 from mmseq.evaluator import evaluate
@@ -163,3 +165,29 @@ def test_ev_positions_follow_the_pattern(rng):
         for row in trace.rows:
             veh = inst.vehicles[row.chosen]
             assert veh.is_ev == (row.category == "ev")
+
+
+# Pinned builds, one instance per size class at V=40 and V=200 (preset
+# seed 8, construct seed 1): the first ten positions and the sha256 of
+# the trace CSV, whose chosen column is the whole order.  A changed
+# tie-break in any of the three stages changes one of them.
+@pytest.mark.parametrize("size_class, n, head, csv_sha256", [
+    ("small", 40, (23, 34, 37, 30, 11, 18, 14, 1, 12, 26),
+     "da74bb9fd8da7a130762d3bb3a230d6bb13cf77bb7afa3d25e6e49c23bd43d89"),
+    ("small", 200, (176, 0, 90, 127, 2, 40, 39, 23, 187, 94),
+     "9d3948e3afd2b1a5bd879027b6807b74c7d9eebc4ec4ce4b2b9bbfc5c6d2b4fd"),
+    ("medium", 40, (27, 8, 33, 22, 13, 26, 0, 15, 11, 18),
+     "a9b5a41fd6ae7774e48fd617b7814db375767acd48967ff978e3a4c62bd4e348"),
+    ("medium", 200, (67, 121, 47, 163, 197, 33, 49, 4, 186, 116),
+     "e09ab85bf0203282bda5741c4210fba5b71ae013c25eea1a2195ab471b1cb49a"),
+    ("large", 40, (27, 24, 8, 5, 3, 37, 6, 30, 13, 33),
+     "06caeae97b8c06d874d5caf5d9308cb4db9977634e3d61e44e3d702f81038150"),
+    ("large", 200, (135, 10, 2, 189, 8, 90, 21, 58, 115, 48),
+     "85f5c2e7faf9292f2f78220be6728fac62e0093c0bc21cced98b59436a87714a"),
+])
+def test_golden_builds(size_class, n, head, csv_sha256):
+    order, trace = construct(generate(preset_config(n, seed=8, size_class=size_class)),
+                             seed=1)
+    assert order.order[:10] == head
+    assert tuple(r.chosen for r in trace.rows) == order.order
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == csv_sha256

@@ -13,9 +13,9 @@ from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                          SWAP, Move, apply_to_order)
 from mmseq.scenario import Sample, sample
 from mmseq.seeding import make_rng
-from mmseq.tabu import (HistoryRecord, SAParams, SearchParams, _Metropolis,
-                        _tabu, history_csv, is_tabu, search,
-                        simulated_annealing)
+from mmseq.tabu import (DEFAULT_WEIGHTS, HistoryRecord, SAParams, SearchParams,
+                        _cumulative, _draw_kind, _Metropolis, _tabu, history_csv,
+                        is_tabu, search, simulated_annealing)
 
 from conftest import random_instance, worked_example
 
@@ -208,6 +208,18 @@ def test_single_operator_weights():
                         SearchParams(operator_weights=(1.0, 0.0, 0.0, 0.0),
                                      iters_one=30, iters_full=30, seed=8))
     assert {r.operator for r in history} <= {SWAP, "none"}
+
+
+@pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, (1.0, 0.0, 0.0, 0.0),
+                                     (0.0, 0.5, 0.0, 0.5), (0.0, 0.0, 0.0, 1.0)])
+def test_kind_draw_reproduces_generator_choice(weights):
+    # the search draws kinds by bisection on the cumulative weights; the
+    # random stream, and so every history, must be that of rng.choice
+    ours, theirs = make_rng(31), make_rng(31)
+    cdf = _cumulative(weights)
+    for _ in range(2000):
+        assert _draw_kind(ours, cdf) == MOVE_KINDS[int(theirs.choice(4, p=weights))]
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_delta_spot_checks_change_nothing():
