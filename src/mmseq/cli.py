@@ -87,10 +87,20 @@ def parse_solution(text: str):
     try:
         digest = fields["instance"]
         seed_text = fields["sample-seed"]
-        order = tuple(int(tok) for tok in fields["sequence"].split())
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed solution file: {exc}") from exc
-    seed = None if seed_text == "-" else int(seed_text)
+        seq_text = fields["sequence"]
+    except KeyError as exc:
+        raise ParseError(f"malformed solution file: missing {exc}") from exc
+    try:
+        seed = None if seed_text == "-" else int(seed_text)
+    except ValueError as exc:
+        raise ParseError(f"malformed solution file: bad sample-seed {seed_text!r}, "
+                         "expected an integer or -") from exc
+    try:
+        order = tuple(int(tok) for tok in seq_text.split())
+        Sequence(order)          # raises unless a permutation of 0..V-1
+    except ValueError as exc:
+        raise ParseError(f"malformed solution file: bad sequence {seq_text!r}, "
+                         "expected a permutation of 0..V-1") from exc
     return digest, seed, order
 
 
@@ -187,14 +197,15 @@ def cmd_solve(args) -> int:
     hit_time_limit = False
     params = []
 
-    if args.method == "greedy":
+    method = _pick_method(instance, args.method)
+    if method == "greedy":
         seq, _ = construct(instance, args.seed)
         iterations = instance.n_vehicles
-    elif args.method == "enum":
+    elif method == "enum":
         seq, value = enumerate_optimal(instance, smp)
         lower = upper = value
         gap = 0.0
-    elif args.method == "lshaped":
+    elif method == "lshaped":
         ex = ExactParams(
             time_limit=None if args.deterministic else args.time_limit)
         result = lshaped_solve(instance, smp, ex)
@@ -204,7 +215,7 @@ def cmd_solve(args) -> int:
         iterations = result.stats.nodes
         params.append(f"cuts={result.stats.cuts_added}")
         hit_time_limit = result.stats.status == "time_limit"
-    elif args.method == "ts":
+    elif method == "ts":
         start, _ = construct(instance, args.seed)
         sp = _search_params(args)
         seq, history = search(instance, smp, start, sp)
@@ -214,13 +225,13 @@ def cmd_solve(args) -> int:
         else:
             params.append(f"tau={sp.tau_one:g}+{sp.tau_full:g}")
     else:
-        raise ConfigError(f"unknown method {args.method!r}")
+        raise ConfigError(f"unknown method {method!r}")
 
     objective = evaluate_expected(instance, seq, smp)
     wall = None if args.deterministic else time.perf_counter() - t0
     record = RunRecord(
         command="solve", instance=instance_digest(instance), seed=args.seed,
-        method=args.method, params=";".join(params), objective=objective,
+        method=method, params=";".join(params), objective=objective,
         lower_bound=lower, upper_bound=upper, gap=gap, wall_time=wall,
         iterations=iterations)
     print(RUN_HEADER)
@@ -323,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run one solver on one instance")
     s.add_argument("--instance", required=True)
-    s.add_argument("--method", default="ts",
-                   choices=["greedy", "ts", "lshaped", "enum"])
+    s.add_argument("--method", default="auto",
+                   choices=["auto", "greedy", "ts", "lshaped", "enum"],
+                   help="auto (default): enum up to 9 vehicles, lshaped up "
+                        "to 12, ts above")
     s.add_argument("--sample-size", type=int, default=0,
                    help="scenario draws; 0 = the no-failure scenario")
     s.add_argument("--sample-seed", type=int, default=0)

@@ -33,12 +33,14 @@ shape of int64 arrays, and every batched caller runs on it:
 Objective.ticks over orders x scenarios x stations for full
 evaluations, Trajectory._scan over scenarios x stations for
 local-search probes (partial_reevaluate rescans only the window a move
-disturbs), and greedy.construct over candidates x stations on the
-nominal scenario.
+disturbs), greedy.construct over candidates x stations on the nominal
+scenario, and the exact search (exact._search) over the children of a
+node x scenarios x stations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -227,6 +229,12 @@ class Objective:
         self.exists = (scenarios.existence if self.n is not None
                        else existence([s for s, _ in self.pairs], instance.n_vehicles))
 
+    @functools.cached_property
+    def scenario_eta(self) -> np.ndarray:
+        """eta[v, w, k] = b - c of vehicle v under scenario w at station k
+        (vehicles x scenarios x stations), 0 for a failed vehicle."""
+        return np.where(self.exists[:, :, None], self.eta[:, None, :], 0)
+
     def ticks(self, orders) -> np.ndarray:
         """Overload in ticks, summed over stations, of each order (rows
         of a 2-D batch) under each scenario (columns)."""
@@ -314,8 +322,6 @@ class Trajectory:
         self.order = order
         T = len(order)
         n_scenarios, n_stations = objective.exists.shape[1], len(objective.cap)
-        # eta[v] = b - c for vehicle v under every scenario at every station
-        eta = np.where(objective.exists[:, :, None], objective.eta[:, None, :], 0)
         # the position whose overload is charged against the cycle time
         self._last = T - 1 if objective.regenerative else T
         self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=np.int64)
@@ -324,7 +330,7 @@ class Trajectory:
         self._wbuf = np.zeros_like(self.w)
         self._s = np.empty((n_scenarios, n_stations), dtype=np.int64)
         # row views, indexed from Python lists in the scan loop
-        self._eta_rows = list(eta)
+        self._eta_rows = list(objective.scenario_eta)
         self._z_rows = list(self.z)
         self._zbuf_rows = list(self._zbuf)
         self._wbuf_rows = list(self._wbuf)

@@ -1,6 +1,6 @@
 """Exact solution of the sampled sequencing problem.
 
-Pieces: brute-force enumeration, the per-scenario recourse LPs (three
+Pieces: exact enumeration, the per-scenario recourse LPs (three
 failure encodings; the reference the cuts are tested against),
 optimality cuts whose recourse duals are read off the station recursion
 by complementary slackness, and a branch-and-bound master LP that adds
@@ -11,10 +11,19 @@ exact integer tick counts, so for sampled (integer-multiplicity)
 scenario sets the master can compare candidate values exactly and prune
 on an integrality margin, making the search provably exact despite
 floating LP arithmetic.  Probability-weighted scenario sets (full
-information) fall back to correctly-rounded float sums.  Enumeration
-and the branch-and-bound's exhaustive closures share one completion
-search, which scores permutations in batches and keeps the first
-minimiser in permutation order, the lexicographically smallest argmin.
+information) fall back to correctly-rounded float sums.
+
+Enumeration and the branch-and-bound's exhaustive closures run on one
+engine, _search, a prefix branch-and-bound on evaluator.station_step.
+It extends prefixes depth-first in lexicographic order, steps every
+allowed child of a node at once over children x scenarios x stations
+(a fixed slot gives one child, a forbidden pair none), and prunes a
+child when its prefix overload plus a suffix bound reaches the
+incumbent key.  The bound per (scenario, station) is the larger of work
+conservation and the sum of each remaining vehicle's own excess over
+the window.  The last _TAIL open positions are scored from the node's
+state as one batch.  The incumbent is replaced only by a strictly
+smaller key, so the result is the lexicographically smallest argmin.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import MMSeqError, SizeGuardError
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
-                        Sequence, as_order, evaluate_station)
+                        Sequence, as_order, evaluate_station, station_step)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, solve_lp
@@ -61,51 +70,112 @@ def full_information(instance: Instance) -> WeightedScenarios:
     return WeightedScenarios(tuple(enumerate_all(instance)))
 
 
-# completions scored per batch: 7!, one batch per leading vehicle at
-# |V| = 8, which bounds the batch arrays at 5040 x scenarios x stations
-_CHUNK = 5040
+# open positions left when a node scores every completion in one batch
+# of at most 5! = 120 rows instead of expanding further
+_TAIL = 5
+_PERMS = [np.array(list(itertools.permutations(range(m))), dtype=np.intp
+                   ).reshape(math.factorial(m), m) for m in range(_TAIL + 1)]
 
 
-def _best_completion(objective: Objective, slots, forbidden):
-    """Fill the open positions (None in slots) with the loose vehicles:
-    of the completions that use no forbidden (vehicle, position) pair,
-    return the first minimiser of the objective's key in permutation
-    order of the loose vehicles, or None when every completion is
-    forbidden."""
-    open_t = [t for t, v in enumerate(slots) if v is None]
-    column = {t: i for i, t in enumerate(open_t)}
-    loose = sorted(set(range(len(slots))) - set(slots))
-    base = np.array([0 if v is None else v for v in slots], dtype=np.intp)
-    perms = itertools.permutations(loose)
-    best_order = best_key = None
-    while True:
-        combos = np.array(list(itertools.islice(perms, _CHUNK)), dtype=np.intp)
-        if not len(combos):
-            return best_order
-        for v, t in forbidden:
-            if t in column:
-                combos = combos[combos[:, column[t]] != v]
-        if not len(combos):
-            continue
-        orders = np.tile(base, (len(combos), 1))
-        orders[:, open_t] = combos
-        keys = objective.keys(orders)
+def _suffix_bound(z, rest_eta, rest_excess, cap, regenerative: bool):
+    """Least overload any completion adds, per (scenario, station), from
+    entry state z with rest_eta = sum of eta and rest_excess = sum of
+    max(0, eta - cap) over the vehicles still to place.
+
+    Work conservation: the rest's overload is z + rest_eta + idle - z_exit,
+    with idle >= 0 and z_exit = 0 at a regenerative end, <= cap at an open
+    one.  Each vehicle alone: w >= s - cap >= eta - cap inside the window
+    and w = s >= eta at the regenerative last slot (needs cap >= 0).
+    rest_excess >= 0 also clamps the conserved work at 0.
+    """
+    conserved = z + rest_eta if regenerative else z + rest_eta - cap
+    return np.maximum(conserved, rest_excess)
+
+
+def _search(objective: Objective, slots, forbidden, incumbent=None):
+    """Branch-and-bound over the completions of slots (None = open) by
+    the loose vehicles that use no forbidden (vehicle, position) pair.
+
+    Prefixes go depth-first in lexicographic order; a node's children
+    are stepped at once over children x scenarios x stations and pruned
+    when prefix cost plus _suffix_bound reaches the incumbent key, which
+    is only replaced by a strictly smaller one, so the result is the
+    lexicographically smallest argmin.  Returns (order, key), or None
+    when no completion is strictly below the incumbent.
+    """
+    cap = objective.cap
+    if (cap < 0).any():
+        k = int(np.flatnonzero(cap < 0)[0])
+        raise ValueError(f"station {k} is shorter than the cycle time")
+    T = len(slots)
+    eta = objective.scenario_eta                       # V x S x K
+    excess = np.maximum(eta - cap, 0)
+    allowed = np.ones((T, T), dtype=bool)              # vehicle x position
+    for v, t in forbidden:
+        allowed[v, t] = False
+    loose = sorted(set(range(T)) - set(slots))
+    open_after = [slots[t:].count(None) for t in range(T + 1)]
+    last = T - 1 if objective.regenerative else T
+    weigh = objective._weigh
+    best_order, best_key = None, incumbent
+
+    def tail(t, free, prefix, z, done):
+        """Score every allowed completion of positions t.. at once."""
+        nonlocal best_order, best_key
+        perms = _PERMS[len(free)]
+        cols = np.array([-1 if v is None else v for v in slots[t:]], dtype=np.intp)
+        orders = np.tile(cols, (len(perms), 1))
+        orders[:, cols < 0] = np.array(free, dtype=np.intp)[perms]
+        orders = orders[allowed[orders, np.arange(t, T)].all(axis=1)]
+        if not len(orders):
+            return
+        zs = np.repeat(z[None], len(orders), axis=0)
+        s, w, total = np.empty_like(zs), np.empty_like(zs), np.zeros_like(zs)
+        for j in range(T - t):
+            station_step(zs, eta[orders[:, j]], cap, t + j == last, out=(s, zs, w))
+            total += w
+        keys = weigh(done + total.sum(axis=2))
         i = min(range(len(keys)), key=keys.__getitem__)
         if best_key is None or keys[i] < best_key:
-            best_order, best_key = tuple(orders[i].tolist()), keys[i]
+            best_order, best_key = prefix + tuple(orders[i].tolist()), keys[i]
+
+    def expand(t, free, prefix, z, done, rest_eta, rest_excess):
+        if open_after[t] <= _TAIL:
+            tail(t, free, prefix, z, done)
+            return
+        kids = [v for v in ((slots[t],) if slots[t] is not None else free)
+                if allowed[v, t]]
+        if not kids:
+            return
+        # more than _TAIL open positions follow, so t is not the last
+        _, zc, w = station_step(z, eta[kids], cap)
+        done_c = done + w.sum(axis=2)
+        eta_c = rest_eta - eta[kids]
+        excess_c = rest_excess - excess[kids]
+        bounds = weigh(done_c + _suffix_bound(
+            zc, eta_c, excess_c, cap, objective.regenerative).sum(axis=2))
+        for i, v in enumerate(kids):
+            if best_key is not None and bounds[i] >= best_key:
+                continue
+            expand(t + 1, [u for u in free if u != v], prefix + (v,), zc[i],
+                   done_c[i], eta_c[i], excess_c[i])
+
+    expand(0, loose, (), np.zeros(eta.shape[1:], dtype=np.int64),
+           np.zeros(eta.shape[1], dtype=np.int64), eta.sum(axis=0), excess.sum(axis=0))
+    return None if best_order is None else (best_order, best_key)
 
 
 def enumerate_optimal(instance: Instance, smp, regenerative: bool = True
                       ) -> tuple[Sequence, float]:
-    """Exhaustive search over all permutations; returns the
-    lexicographically smallest argmin and its objective."""
+    """Exact search over all permutations by branch-and-bound; returns
+    the lexicographically smallest argmin and its objective."""
     n = instance.n_vehicles
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"enumeration over {n}! permutations refused (limit {ENUMERATION_GUARD})")
     objective = Objective(instance, smp, regenerative)
-    order = _best_completion(objective, [None] * n, ())
-    return Sequence(order), objective.tu(objective.keys([order])[0])
+    order, key = _search(objective, [None] * n, ())
+    return Sequence(order), objective.tu(key)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +598,7 @@ def _integral_order(xmat, nv: int):
 
 
 _EXHAUST_CAP = 6         # most loose vehicles a node may close by search
-_EXHAUST_BUDGET = 20000  # permutation-scenario evaluations per closure
+_EXHAUST_BUDGET = 20000  # most (loose vehicles)! x scenarios a node may close
 
 
 def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
@@ -540,8 +610,8 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     Two accelerations keep the tree manageable without touching the
     bound logic: the greedy constructor seeds the incumbent before the
     root, and nodes whose fixings leave at most a handful of vehicles
-    unassigned are closed by evaluating every consistent completion with
-    the exact objective instead of relaxing further.
+    unassigned are closed by the exact completion search, seeded with
+    the incumbent, instead of relaxing further.
     """
     params = params or ExactParams()
     nv = instance.n_vehicles
@@ -593,8 +663,9 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
          if math.factorial(u) * len(pairs) <= _EXHAUST_BUDGET), default=0)
 
     def close_exhaustively(fixings) -> bool:
-        """Evaluate every completion consistent with the fixings when few
-        vehicles remain loose; exact, and cheaper than relaxing on."""
+        """Search the completions consistent with the fixings for one
+        below the incumbent when few vehicles remain loose; exact, and
+        cheaper than relaxing on."""
         slots = [None] * nv
         for (v, t), val in fixings.items():
             if val:
@@ -602,9 +673,9 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
         if slots.count(None) > exhaust_limit:
             return False
         forbidden = [vt for vt, val in fixings.items() if not val]
-        best = _best_completion(objective, slots, forbidden)
-        if best is not None:
-            consider(best)
+        found = _search(objective, slots, forbidden, best_key)
+        if found is not None:
+            consider(found[0])
         stats.leaf_exhausts += 1
         return True
 

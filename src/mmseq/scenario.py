@@ -157,6 +157,13 @@ def save_sample(smp: Sample, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _integer(value, field: str, path) -> int:
+    """A YAML integer; bools and floats are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: bad {field} {value!r}, expected an integer")
+    return value
+
+
 def load_sample(path) -> Sample:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -177,8 +184,15 @@ def load_sample(path) -> Sample:
     for i, row in enumerate(doc["scenarios"] or []):
         if not isinstance(row, dict) or "bits" not in row or "count" not in row:
             raise ParseError(f"{path}: scenarios[{i}]: need fields bits, count")
-        unique.append((Scenario.from_bits(str(row["bits"])), int(row["count"])))
+        bits, count = str(row["bits"]), row["count"]
+        try:
+            scenario = Scenario.from_bits(bits)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad scenarios[{i}].bits {bits!r}, "
+                             "expected a string of 0s and 1s") from exc
+        unique.append((scenario, _integer(count, f"scenarios[{i}].count", path)))
     try:
-        return Sample(n=int(doc["n"]), seed=doc["seed"], unique=tuple(unique))
+        return Sample(n=_integer(doc["n"], "n", path), seed=doc["seed"],
+                      unique=tuple(unique))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

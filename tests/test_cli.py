@@ -222,6 +222,16 @@ def test_solve_malformed_instance_exits_2(instance_file, capsys, section, index,
     assert "Traceback" not in out + err
 
 
+def test_solve_defaults_to_auto(instance_file, capsys):
+    path = instance_file(n=7, seed=100)
+    rc, stdout, _ = run_cli(capsys, "solve", "--instance", path,
+                            "--sample-size", "50", "--deterministic")
+    assert rc == 0
+    fields = stdout.splitlines()[1].split(",")
+    assert fields[3] == "enum"
+    assert fields[8] == "0.000000"
+
+
 def test_solve_enum_guard_exits_3(instance_file, capsys):
     path = instance_file(n=10, seed=104)
     rc, _, err = run_cli(capsys, "solve", "--instance", path,
@@ -270,6 +280,27 @@ def test_assess_digest_mismatch_exits_2(instance_file, tmp_path, capsys):
                          "--replications", "2", "--sample-size", "10")
     assert rc == 2
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample-seed", "abc"),
+    ("sequence", "0 0 2 4 5 6 3"),
+])
+def test_assess_malformed_solution_exits_2(instance_file, tmp_path, capsys,
+                                           key, value):
+    path = instance_file(n=7, seed=106)
+    sol = tmp_path / "sol.txt"
+    run_cli(capsys, "solve", "--instance", path, "--method", "greedy",
+            "--out", str(sol))
+    lines = [f"{key} {value}" if ln.startswith(key + " ") else ln
+             for ln in sol.read_text().splitlines()]
+    sol.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, "assess", "--instance", path,
+                           "--solution", str(sol), "--method", "enum",
+                           "--replications", "2", "--sample-size", "10")
+    assert rc == 2
+    assert f"bad {key} {value!r}" in err
+    assert "Traceback" not in out + err
 
 
 def test_assess_missing_solution_exits_2(instance_file, capsys):

@@ -5,18 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmseq.exact
 from mmseq.errors import SizeGuardError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
-                             Sequence, evaluate, evaluate_expected,
+                             Objective, Sequence, evaluate, evaluate_expected,
                              evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
-                         enumerate_optimal, full_information, lshaped_solve,
-                         recourse_lp, solve_dsp)
+                         _search, _suffix_bound, enumerate_optimal,
+                         full_information, lshaped_solve, recourse_lp,
+                         solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
 from mmseq.scenario import Sample, Scenario, sample
+from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
 from conftest import (as_xmat, random_instance, random_order,
@@ -235,7 +238,7 @@ def test_enumerate_prefers_lexicographic_argmin():
 
 def test_enumerate_breaks_ties_across_batches():
     # vehicles 0 and 7 are twins, so each optimum that starts with 0 has a
-    # twin that starts with 7, in a later batch of 5040 permutations
+    # twin that starts with 7, in a subtree the search reaches much later
     times = (10, 3, 11, 9, 6, 4, 4, 10)
     inst = Instance.of(7, (10,), [Vehicle.of(v, False, (t,))
                                   for v, t in enumerate(times)])
@@ -250,6 +253,76 @@ def test_enumerate_breaks_ties_across_batches():
     seq, val = enumerate_optimal(inst, Sample.degenerate(inst))
     assert seq.order == min(argmins)
     assert val == best / TICKS_PER_TU
+
+
+def station_cost(inst, order, scen, regen) -> int:
+    """Overload of one order under one scenario, summed over stations,
+    by the pure-Python reference recursion."""
+    c = inst.cycle_time
+    return sum(evaluate_station([row[v] if scen.exists[v] else c for v in order],
+                                c, st.length, regen).total_overload
+               for row, st in zip(inst.processing_rows(), inst.stations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.booleans(), st.sampled_from(["none", "optimum", "above", "random"]))
+def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 8))
+    inst = random_instance(rng, n=n)
+    smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
+    slots, forbidden = [None] * n, []
+    if fix:
+        perm = random_order(rng, n)
+        slots = [v if rng.random() < 0.3 else None for v in perm]
+        forbidden = [(int(rng.integers(0, n)), int(rng.integers(0, n)))
+                     for _ in range(int(rng.integers(0, 2 * n)))]
+    keys = {}
+    for order in itertools.permutations(range(n)):
+        if all(s is None or s == v for s, v in zip(slots, order)) and \
+                not any(order[t] == v for v, t in forbidden):
+            keys[order] = sum(count * station_cost(inst, order, scen, regen)
+                              for scen, count in smp.unique)
+    best = min(keys, key=keys.get) if keys else None   # first in lex order
+    bound = {"none": None, "optimum": keys.get(best), "random": None,
+             "above": None if best is None else keys[best] + 1}[incumbent]
+    if incumbent == "random":
+        bound = int(rng.integers(0, 2 + 2 * max(keys.values(), default=0)))
+    got = _search(Objective(inst, smp, regen), slots, forbidden, bound)
+    if best is None or bound is not None and keys[best] >= bound:
+        assert got is None
+    else:
+        assert got == (best, keys[best])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_suffix_bound_never_exceeds_a_completion(seed, regen):
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 8))
+    inst = random_instance(rng, n=n)
+    scen = random_scenario(rng, n)
+    order = random_order(rng, n)
+    t = int(rng.integers(max(0, n - 5), n))
+    c = inst.cycle_time
+    for row, st in zip(inst.processing_rows(), inst.stations):
+        cap = st.length - c
+        eta = [row[v] - c if scen.exists[v] else 0 for v in range(n)]
+        bound = _suffix_bound(
+            evaluate_station([eta[v] + c for v in order], c, st.length, regen).z[t],
+            sum(eta[v] for v in order[t:]),
+            sum(max(0, eta[v] - cap) for v in order[t:]), cap, regen)
+        for rest in itertools.permutations(order[t:]):
+            ev = evaluate_station([eta[v] + c for v in order[:t] + rest],
+                                  c, st.length, regen)
+            assert bound <= sum(ev.w[t:])
+
+
+def test_search_refuses_a_station_shorter_than_the_cycle():
+    inst = Instance.of(7, (10, 6), [Vehicle.of(v, False, (5, 5)) for v in range(3)])
+    with pytest.raises(ValueError, match="station 1"):
+        enumerate_optimal(inst, Sample.degenerate(inst))
 
 
 def test_enumerate_deterministic(rng):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -196,4 +197,19 @@ def test_load_sample_rejects_malformed_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("version: mms-sample/1\nscenarios: [{bits: \"01\"\n")
     with pytest.raises(ParseError, match="bad.yaml"):
+        load_sample(path)
+
+
+@pytest.mark.parametrize("bits, count, n, where", [
+    ('"01x"', "3", "3", "scenarios[0].bits"),
+    ('"012"', "3", "3", "scenarios[0].bits"),
+    ('"011"', "abc", "3", "scenarios[0].count"),
+    ('"011"', "1.7", "3", "scenarios[0].count"),
+    ('"011"', "3", "3.0", "n"),
+])
+def test_load_sample_rejects_malformed_rows(tmp_path, bits, count, n, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"version: mms-sample/1\nseed: 1\nn: {n}\n"
+                    f"scenarios:\n- {{bits: {bits}, count: {count}}}\n")
+    with pytest.raises(ParseError, match=re.escape(f"bad {where}")):
         load_sample(path)
