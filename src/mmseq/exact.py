@@ -4,7 +4,8 @@ Pieces: exact enumeration, the per-scenario recourse LPs (three
 failure encodings; the reference the cuts are tested against),
 optimality cuts whose recourse duals are read off the station recursion
 by complementary slackness, and a branch-and-bound master LP that adds
-cuts lazily at integer-feasible nodes.
+cuts lazily at integer-feasible nodes, kept as one HiGHS model that each
+node re-solves from the previous basis.
 
 Candidate orders are valued by evaluator.Objective: scenario costs are
 exact integer tick counts, so for sampled (integer-multiplicity)
@@ -42,7 +43,7 @@ from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
                         Sequence, as_order, evaluate_station, station_step)
 from .greedy import construct
 from .instance import Instance
-from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, solve_lp
+from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
 from .scenario import Scenario, enumerate_all
 from .timeunits import TICKS_PER_TU
 
@@ -477,12 +478,14 @@ class _Master:
     """Node LPs over the assignment polytope with theta variables and a
     shared cut pool; branching is expressed through variable bounds.
 
-    The pool lives in one preallocated matrix below the assignment rows,
-    so a node solve never copies more than the active slice.  When the
-    pool outgrows its cap, rows that have not been binding for the
-    longest stretch are evicted: every subset of valid cuts keeps every
-    node bound valid, and an evicted cut that is needed again is simply
-    regenerated because eviction also forgets its deduplication key.
+    One HiGHS model lives for the whole solve: the assignment rows are
+    passed once, each new cut is appended as a row, and a node solve
+    only resets the assignment bounds before re-solving from the last
+    basis.  When the pool outgrows its cap, rows that have not been
+    binding for the longest stretch are deleted: every subset of valid
+    cuts keeps every node bound valid, and an evicted cut that is needed
+    again is simply regenerated because eviction also forgets its
+    deduplication key.
     """
 
     def __init__(self, instance: Instance, pairs, n):
@@ -497,37 +500,25 @@ class _Master:
         self.n_cuts = 0
         self.pool_cap = max(160, 2 * len(pairs))
         self.pool_keep = max(100, len(pairs) + len(pairs) // 2)
-        cap = self.n_base + 64
-        self._a = np.zeros((cap, self.nvar))
-        self._rhs = np.ones(cap)
+        a = np.zeros((self.n_base, self.nvar))
         for v in range(self.nv):            # each vehicle used once
-            self._a[v, v * self.nv:(v + 1) * self.nv] = 1.0
+            a[v, v * self.nv:(v + 1) * self.nv] = 1.0
         for t in range(self.nv):            # each position filled once
-            self._a[self.nv + t, t:self.nx:self.nv] = 1.0
+            a[self.nv + t, t:self.nx:self.nv] = 1.0
+        objective = np.zeros(self.nvar)
+        objective[self.nx:] = [w / total for _, w in pairs]
+        upper = np.concatenate([np.ones(self.nx), np.full(len(pairs), np.inf)])
+        self.lp = Model(LinearProgram(objective, a, (EQ,) * self.n_base,
+                                      np.ones(self.n_base),
+                                      np.zeros(self.nvar), upper))
+        self._xcols = np.arange(self.nx)
         self._last_active = np.zeros(0, dtype=int)
         self._keys: list = []
         self._key_set: set = set()
         self._solves = 0
-        self.objective = np.zeros(self.nvar)
-        self.objective[self.nx:] = [w / total for _, w in pairs]
-        self._lower = np.zeros(self.nvar)
-        self._upper = np.concatenate([np.ones(self.nx),
-                                      np.full(len(pairs), np.inf)])
 
     def xvar(self, v: int, t: int) -> int:
         return v * self.nv + t
-
-    def _ensure_capacity(self, rows: int):
-        cap = self._a.shape[0]
-        if rows <= cap:
-            return
-        new_cap = max(rows, 2 * cap)
-        grown = np.zeros((new_cap, self.nvar))
-        grown[:cap] = self._a
-        self._a = grown
-        rhs = np.ones(new_cap)
-        rhs[:cap] = self._rhs
-        self._rhs = rhs
 
     def add_cut(self, cut: OptimalityCut) -> bool:
         j = self.scen_index[cut.scenario]
@@ -537,14 +528,10 @@ class _Master:
             return False
         self._key_set.add(key)
         self._keys.append(key)
-        r = self.n_base + self.n_cuts
-        self._ensure_capacity(r + 1)
-        row = self._a[r]
-        row[:] = 0.0
-        for v, coeffs in enumerate(cut.coeffs):
-            row[v * self.nv:(v + 1) * self.nv] = coeffs
-        row[self.nx + j] = -1.0
-        self._rhs[r] = -cut.offset
+        values = np.append(np.ravel(cut.coeffs), -1.0)
+        cols = np.append(self._xcols, self.nx + j)
+        nz = values != 0.0
+        self.lp.add_row(cols[nz], values[nz], -cut.offset)
         self._last_active = np.append(self._last_active, self._solves)
         self.n_cuts += 1
         return True
@@ -554,11 +541,9 @@ class _Master:
         if self.n_cuts <= self.pool_cap:
             return
         order = np.argsort(self._last_active, kind="stable")
-        drop = set(order[:self.n_cuts - self.pool_keep].tolist())
-        keep = [i for i in range(self.n_cuts) if i not in drop]
-        lo = self.n_base
-        self._a[lo:lo + len(keep)] = self._a[lo:lo + self.n_cuts][keep]
-        self._rhs[lo:lo + len(keep)] = self._rhs[lo:lo + self.n_cuts][keep]
+        drop = np.sort(order[:self.n_cuts - self.pool_keep])
+        self.lp.delete_rows(self.n_base + drop)
+        keep = np.setdiff1d(np.arange(self.n_cuts), drop)
         self._last_active = self._last_active[keep]
         for i in drop:
             self._key_set.discard(self._keys[i])
@@ -566,19 +551,15 @@ class _Master:
         self.n_cuts = len(keep)
 
     def solve(self, fixings: dict) -> LPResult:
-        m = self.n_base + self.n_cuts
-        lower = self._lower.copy()
-        upper = self._upper.copy()
+        lower = np.zeros(self.nx)
+        upper = np.ones(self.nx)
         for (v, t), val in fixings.items():
-            lower[self.xvar(v, t)] = float(val)
-            upper[self.xvar(v, t)] = float(val)
-        senses = (EQ,) * self.n_base + (LE,) * self.n_cuts
-        lp = LinearProgram(self.objective, self._a[:m], senses,
-                           self._rhs[:m], lower, upper)
-        res = solve_lp(lp)
+            lower[self.xvar(v, t)] = upper[self.xvar(v, t)] = float(val)
+        self.lp.set_bounds(self._xcols, lower, upper)
+        res = self.lp.solve()
         self._solves += 1
         if res.status == OPTIMAL and self.n_cuts:
-            binding = res.slack[self.n_base:m] <= 1e-7
+            binding = res.slack[self.n_base:] <= 1e-7
             self._last_active[binding] = self._solves
         return res
 

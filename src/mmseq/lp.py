@@ -1,8 +1,12 @@
 """Thin linear-programming layer used by the exact solver.
 
 Models are minimisations stated in row form (senses <= and ==) with
-explicit variable bounds.  Solving is delegated to scipy's HiGHS dual
-simplex, which returns vertex solutions and per-row slacks.
+explicit variable bounds.  They are solved by HiGHS's dual simplex
+through the `Highs` class that scipy vendors, which returns vertex
+solutions and per-row slacks.  A `Model` keeps one HiGHS model alive:
+`<=` rows can be added and deleted and column bounds changed between
+solves, and each re-solve starts from the last optimal basis instead of
+from scratch.  `solve_lp` is one cold solve of a `LinearProgram`.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# the vendored HiGHS bindings first ship in scipy 1.15
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import MMSeqError
 
@@ -19,6 +24,10 @@ LE, EQ = "<=", "=="
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
+           _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 
 
 @dataclass
@@ -57,39 +66,85 @@ class LPResult:
     slack: np.ndarray | None = None  # per-row distance to the bound
 
 
-def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve to optimality or report infeasible/unbounded; anything else
-    (iteration limit, numerical trouble) raises.
+class Model:
+    """One HiGHS model that outlives its solves.
 
-    The slack vector reports, per original row, how far the constraint
-    sits from its bound at the optimum (zero for equalities); callers
-    use it to spot binding rows without recomputing products.
+    The rows of the initial program keep their positions; rows added
+    later are `<=` rows appended after them, and deleting rows closes
+    the gaps in order.  Every solve after the first warm-starts dual
+    simplex from the previous basis.
     """
-    eq_mask = np.array(lp.senses) == EQ
-    ub_mask = ~eq_mask
 
-    a_eq = lp.a[eq_mask] if eq_mask.any() else None
-    b_eq = lp.rhs[eq_mask] if eq_mask.any() else None
-    a_ub = lp.a[ub_mask] if ub_mask.any() else None
-    b_ub = lp.rhs[ub_mask] if ub_mask.any() else None
+    def __init__(self, lp: LinearProgram):
+        self._h = _highs._Highs()
+        self._h.setOptionValue("output_flag", False)
+        self._h.setOptionValue("simplex_strategy", 1)     # dual simplex
+        m, n = len(lp.senses), lp.objective.shape[0]
+        eq = np.array([s == EQ for s in lp.senses], dtype=bool)
+        a = lp.a.reshape(m, n)
+        rows, cols = np.nonzero(a)
+        start = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=m), out=start[1:])
+        status = self._h.passModel(
+            n, m, len(cols), int(_highs.MatrixFormat.kRowwise),
+            int(_highs.ObjSense.kMinimize), 0.0,
+            lp.objective, lp.lower, lp.upper,
+            np.where(eq, lp.rhs, -np.inf), lp.rhs,
+            start, cols.astype(np.int32), a[rows, cols],
+            np.zeros(n, dtype=np.int32))          # all continuous
+        if status == _highs.HighsStatus.kError:
+            raise MMSeqError("LP model rejected by HiGHS")
+        self._rhs = lp.rhs.copy()
+        self._eq = eq
 
-    res = linprog(
-        lp.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack((lp.lower, lp.upper)),
-        method="highs-ds",
-    )
-    if res.status == 2:
-        return LPResult(INFEASIBLE, None, None)
-    if res.status == 3:
-        return LPResult(UNBOUNDED, None, None)
-    if res.status != 0:
-        raise MMSeqError(f"LP solve failed: {res.message}")
+    @property
+    def n_rows(self) -> int:
+        return self._h.getNumRow()
 
-    slack = np.zeros(len(lp.senses))
-    if ub_mask.any():
-        slack[ub_mask] = res.slack
-    return LPResult(OPTIMAL, np.asarray(res.x), float(res.fun), slack)
+    def add_row(self, cols, values, rhs: float):
+        """Append the row sum(values * x[cols]) <= rhs."""
+        self._h.addRow(-np.inf, rhs, len(cols),
+                       np.asarray(cols, dtype=np.int32),
+                       np.asarray(values, dtype=float))
+        self._rhs = np.append(self._rhs, rhs)
+        self._eq = np.append(self._eq, False)
+
+    def delete_rows(self, rows):
+        rows = np.asarray(rows, dtype=np.int32)
+        self._h.deleteRows(len(rows), rows)
+        self._rhs = np.delete(self._rhs, rows)
+        self._eq = np.delete(self._eq, rows)
+
+    def set_bounds(self, cols, lower, upper):
+        self._h.changeColsBounds(len(cols), np.asarray(cols, dtype=np.int32),
+                                 np.asarray(lower, dtype=float),
+                                 np.asarray(upper, dtype=float))
+
+    def solve(self) -> LPResult:
+        """Solve to optimality or report infeasible/unbounded; anything
+        else (infeasible-or-unbounded, iteration limit, numerical
+        trouble) raises.
+
+        The slack vector reports, per row, how far the constraint sits
+        from its bound at the optimum (zero for equalities); callers
+        use it to spot binding rows without recomputing products.
+        """
+        if self._h.run() == _highs.HighsStatus.kError:
+            raise MMSeqError("LP solve failed: HiGHS reported an error")
+        model_status = self._h.getModelStatus()
+        status = _STATUS.get(model_status)
+        if status is None:
+            raise MMSeqError("LP solve failed: "
+                             + self._h.modelStatusToString(model_status))
+        if status != OPTIMAL:
+            return LPResult(status, None, None)
+        sol = self._h.getSolution()
+        slack = np.where(self._eq, 0.0, self._rhs - np.array(sol.row_value))
+        return LPResult(OPTIMAL, np.array(sol.col_value),
+                        self._h.getObjectiveValue(), slack)
+
+
+def solve_lp(lp: LinearProgram) -> LPResult:
+    """One cold solve of `lp`, with the statuses and slacks of
+    `Model.solve`."""
+    return Model(lp).solve()

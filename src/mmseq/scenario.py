@@ -180,8 +180,13 @@ def load_sample(path) -> Sample:
     extra = sorted(set(doc) - {"version", "seed", "n", "scenarios"})
     if extra:
         warnings.warn(f"{path}: ignoring unknown fields {extra}", stacklevel=2)
+    rows, seed = doc["scenarios"], doc["seed"]
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: bad scenarios {rows!r}, expected a list")
+    if seed is not None:
+        seed = _integer(seed, "seed", path)
     unique = []
-    for i, row in enumerate(doc["scenarios"] or []):
+    for i, row in enumerate(rows):
         if not isinstance(row, dict) or "bits" not in row or "count" not in row:
             raise ParseError(f"{path}: scenarios[{i}]: need fields bits, count")
         bits, count = str(row["bits"]), row["count"]
@@ -192,7 +197,7 @@ def load_sample(path) -> Sample:
                              "expected a string of 0s and 1s") from exc
         unique.append((scenario, _integer(count, f"scenarios[{i}].count", path)))
     try:
-        return Sample(n=_integer(doc["n"], "n", path), seed=doc["seed"],
+        return Sample(n=_integer(doc["n"], "n", path), seed=seed,
                       unique=tuple(unique))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -13,11 +13,12 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, evaluate, evaluate_expected,
                              evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
-                         _search, _suffix_bound, enumerate_optimal,
+                         _Master, _search, _suffix_bound, enumerate_optimal,
                          full_information, lshaped_solve, recourse_lp,
                          solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
+from mmseq.lp import EQ, LE, OPTIMAL, LinearProgram, solve_lp
 from mmseq.scenario import Sample, Scenario, sample
 from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
@@ -376,6 +377,18 @@ def test_lshaped_matches_enumeration_v7():
     assert res.stats.status == "optimal"
 
 
+@pytest.mark.parametrize("size_class", ["medium", "large"])
+@pytest.mark.parametrize("draws", [100, None])      # None: the S=1 sample
+def test_lshaped_matches_enumeration_across_size_classes(size_class, draws):
+    inst = generate(preset_config(8, seed=8, size_class=size_class))
+    smp = Sample.degenerate(inst) if draws is None else sample(inst, draws,
+                                                              seed=1008)
+    res = lshaped_solve(inst, smp)
+    _, opt = enumerate_optimal(inst, smp)
+    assert res.upper_bound == res.lower_bound == opt
+    assert res.stats.status == "optimal"
+
+
 def test_lshaped_full_information():
     inst = generate(preset_config(6, seed=310, size_class="small"))
     ws = full_information(inst)
@@ -438,6 +451,81 @@ def test_lshaped_guard():
     smp = sample(inst, 10, seed=1)
     with pytest.raises(SizeGuardError, match="13"):
         lshaped_solve(inst, smp)
+
+
+def cold_master(inst, pairs, n, cuts, fixings) -> LinearProgram:
+    """The master LP of the given cuts and fixings, built from scratch."""
+    nv = inst.n_vehicles
+    nx = nv * nv
+    rows = []
+    for v in range(nv):                   # each vehicle used once
+        row = np.zeros(nx + len(pairs))
+        row[v * nv:(v + 1) * nv] = 1.0
+        rows.append(row)
+    for t in range(nv):                   # each position filled once
+        row = np.zeros(nx + len(pairs))
+        row[t:nx:nv] = 1.0
+        rows.append(row)
+    rhs = [1.0] * (2 * nv)
+    index = {scen: j for j, (scen, _) in enumerate(pairs)}
+    for cut in cuts:                      # theta_j >= coeffs . x + offset
+        row = np.zeros(nx + len(pairs))
+        row[:nx] = np.ravel(cut.coeffs)
+        row[nx + index[cut.scenario]] = -1.0
+        rows.append(row)
+        rhs.append(-cut.offset)
+    lower = np.zeros(nx + len(pairs))
+    upper = np.concatenate([np.ones(nx), np.full(len(pairs), np.inf)])
+    for (v, t), val in fixings.items():
+        lower[v * nv + t] = upper[v * nv + t] = val
+    return LinearProgram(np.concatenate([np.zeros(nx), [w / n for _, w in pairs]]),
+                         np.array(rows), (EQ,) * (2 * nv) + (LE,) * len(cuts),
+                         np.array(rhs), lower, upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_warm_master_matches_a_cold_solve(seed):
+    rng = make_rng(seed)
+    nv = int(rng.integers(5, 7))
+    inst = random_instance(rng, n=nv)
+    objective = Objective(inst, sample(inst, 30, seed=seed))
+    pairs = objective.pairs
+    master = _Master(inst, pairs, objective.n)
+    master.pool_cap, master.pool_keep = 3, 2     # force evictions
+    by_key, evictions = {}, 0
+    for _ in range(20):
+        for _ in range(int(rng.integers(1, 3))):
+            scen = pairs[int(rng.integers(len(pairs)))][0]
+            _, cut = solve_dsp(inst, random_order(rng, nv), scen)
+            if master.add_cut(cut):
+                by_key[master._keys[-1]] = cut
+        fixings = {(int(rng.integers(nv)), int(rng.integers(nv))):
+                   int(rng.integers(2)) for _ in range(int(rng.integers(4)))}
+        warm = master.solve(fixings)
+        cuts = [by_key[key] for key in master._keys]
+        assert master.lp.n_rows == master.n_base + len(cuts)
+        lp = cold_master(inst, pairs, objective.n, cuts, fixings)
+        cold = solve_lp(lp)
+        assert warm.status == cold.status
+        if warm.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                                   abs=1e-12)
+            # ties leave several optimal vertices, so the warm vertex is
+            # checked as a solution of the cold program: its cut-row
+            # slacks are that program's residuals, and it is feasible
+            residual = lp.rhs - lp.a @ warm.x
+            np.testing.assert_allclose(warm.slack[master.n_base:],
+                                       residual[master.n_base:], atol=1e-9)
+            assert residual[master.n_base:].min(initial=0.0) >= -1e-7
+            np.testing.assert_allclose(residual[:master.n_base], 0.0,
+                                       atol=1e-7)
+            assert (warm.x >= lp.lower - 1e-9).all()
+            assert (warm.x <= lp.upper + 1e-9).all()
+        before = master.n_cuts
+        master.maybe_evict()
+        evictions += master.n_cuts < before
+    assert evictions or len(by_key) <= master.pool_cap
 
 
 def test_lshaped_deterministic():

@@ -213,3 +213,18 @@ def test_load_sample_rejects_malformed_rows(tmp_path, bits, count, n, where):
                     f"scenarios:\n- {{bits: {bits}, count: {count}}}\n")
     with pytest.raises(ParseError, match=re.escape(f"bad {where}")):
         load_sample(path)
+
+
+@pytest.mark.parametrize("seed, scenarios, where", [
+    ("1", "17", "scenarios"),
+    ("1", "abc", "scenarios"),
+    ("1", "{a: 1}", "scenarios"),
+    ("abc", '[{bits: "011", count: 3}]', "seed"),
+    ("1.5", '[{bits: "011", count: 3}]', "seed"),
+])
+def test_load_sample_rejects_malformed_fields(tmp_path, seed, scenarios, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"version: mms-sample/1\nseed: {seed}\nn: 3\n"
+                    f"scenarios: {scenarios}\n")
+    with pytest.raises(ParseError, match=re.escape(f"bad {where}")):
+        load_sample(path)
