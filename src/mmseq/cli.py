@@ -119,7 +119,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _make_sample(instance: Instance, args) -> tuple[Sample, int | None]:
-    if args.sample_size and args.sample_size > 0:
+    if args.sample_size:
         return (sample(instance, args.sample_size, args.sample_seed),
                 args.sample_seed)
     return Sample.degenerate(instance), None
@@ -255,7 +255,7 @@ def cmd_assess(args) -> int:
     method = _pick_method(instance, args.method)
     solver = _solver_for(method, args)
     report = mrp(instance, candidate, solver,
-                 replications=args.replications, n=args.sample_size or 100,
+                 replications=args.replications, n=args.sample_size,
                  alpha=args.alpha, seed=args.seed)
     text = report.to_csv()
     sys.stdout.write(text)
@@ -300,6 +300,26 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _checked(kind, ok, expected: str):
+    """An argparse type: kind(text) when ok accepts it; otherwise an
+    error that argparse prefixes with the flag's name (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# nan fails every comparison, so it is rejected too
+_SECONDS = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmseq",
@@ -308,18 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_COUNT, default=0)
         p.add_argument("--deterministic", action="store_true",
                        help="iteration budgets only; blank wall-clock fields")
         p.add_argument("--out", help="output path")
 
     def budgets(p):
-        p.add_argument("--iters", type=int,
+        p.add_argument("--iters", type=_COUNT,
                        help="ts iteration budget, split 10:590 between the "
                             "phases (default 3000 under --deterministic); with "
                             "neither --iters, --time-limit nor --deterministic, "
                             "ts spends the paper's 10 s + 590 s")
-        p.add_argument("--time-limit", type=float,
+        p.add_argument("--time-limit", type=_SECONDS,
                        help="wall-clock seconds for lshaped, and for ts (split "
                             "10:590) unless --iters is given; ignored under "
                             "--deterministic")
@@ -338,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "greedy", "ts", "lshaped", "enum"],
                    help="auto (default): enum up to 9 vehicles, lshaped up "
                         "to 12, ts above")
-    s.add_argument("--sample-size", type=int, default=0,
+    s.add_argument("--sample-size", type=_COUNT, default=0,
                    help="scenario draws; 0 = the no-failure scenario")
-    s.add_argument("--sample-seed", type=int, default=0)
+    s.add_argument("--sample-seed", type=_COUNT, default=0)
     budgets(s)
     common(s)
     s.set_defaults(func=cmd_solve)
@@ -350,10 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--solution", required=True)
     a.add_argument("--method", default="auto",
                    choices=["auto", "enum", "lshaped", "ts"])
-    a.add_argument("--replications", type=int, default=10)
-    a.add_argument("--sample-size", type=int, default=100,
+    a.add_argument("--replications", default=10,
+                   type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
+    a.add_argument("--sample-size", type=_POSITIVE, default=100,
                    help="per-replication sample size")
-    a.add_argument("--alpha", type=float, default=0.05)
+    a.add_argument("--alpha", default=0.05,
+                   type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"))
     budgets(a)
     common(a)
     a.set_defaults(func=cmd_assess)
@@ -363,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--method", default="auto",
                    choices=["auto", "enum", "lshaped", "ts"])
     c.add_argument("--sample-size", type=int, required=True)
-    c.add_argument("--sample-seed", type=int, default=0)
-    c.add_argument("--eval-size", type=int, default=1000)
-    c.add_argument("--eval-seed", type=int)
+    c.add_argument("--sample-seed", type=_COUNT, default=0)
+    c.add_argument("--eval-size", type=_POSITIVE, default=1000)
+    c.add_argument("--eval-seed", type=_COUNT)
     budgets(c)
     common(c)
     c.set_defaults(func=cmd_compare)

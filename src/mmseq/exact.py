@@ -14,6 +14,11 @@ on an integrality margin, making the search provably exact despite
 floating LP arithmetic.  Probability-weighted scenario sets (full
 information) fall back to correctly-rounded float sums.
 
+Nodes of the exact layer share one format, the fixing matrix: an int8
+vehicle x position array whose entries are 1 (fixed in), 0 (forbidden)
+or -1 (free).  The master LP reads it as column bounds, and the engine
+below as fixed slots and allowed pairs.
+
 Enumeration and the branch-and-bound's exhaustive closures run on one
 engine, _search, a prefix branch-and-bound on evaluator.station_step.
 It extends prefixes depth-first in lexicographic order, steps every
@@ -93,9 +98,9 @@ def _suffix_bound(z, rest_eta, rest_excess, cap, regenerative: bool):
     return np.maximum(conserved, rest_excess)
 
 
-def _search(objective: Objective, slots, forbidden, incumbent=None):
-    """Branch-and-bound over the completions of slots (None = open) by
-    the loose vehicles that use no forbidden (vehicle, position) pair.
+def _search(objective: Objective, fix, incumbent=None):
+    """Branch-and-bound over the orders that the fixing matrix fix
+    allows: every 1 entry is placed, and no 0 entry is used.
 
     Prefixes go depth-first in lexicographic order; a node's children
     are stepped at once over children x scenarios x stations and pruned
@@ -108,14 +113,15 @@ def _search(objective: Objective, slots, forbidden, incumbent=None):
     if (cap < 0).any():
         k = int(np.flatnonzero(cap < 0)[0])
         raise ValueError(f"station {k} is shorter than the cycle time")
-    T = len(slots)
+    T = len(fix)
     eta = objective.scenario_eta                       # V x S x K
     excess = np.maximum(eta - cap, 0)
-    allowed = np.ones((T, T), dtype=bool)              # vehicle x position
-    for v, t in forbidden:
-        allowed[v, t] = False
-    loose = sorted(set(range(T)) - set(slots))
-    open_after = [slots[t:].count(None) for t in range(T + 1)]
+    allowed = fix != 0                                 # vehicle x position
+    fixed = fix == 1
+    # the vehicle fixed at each position, -1 where the position is open
+    slots = np.where(fixed.any(axis=0), fixed.argmax(axis=0), -1).tolist()
+    loose = np.flatnonzero(~fixed.any(axis=1)).tolist()
+    open_after = [slots[t:].count(-1) for t in range(T + 1)]
     last = T - 1 if objective.regenerative else T
     weigh = objective._weigh
     best_order, best_key = None, incumbent
@@ -124,7 +130,7 @@ def _search(objective: Objective, slots, forbidden, incumbent=None):
         """Score every allowed completion of positions t.. at once."""
         nonlocal best_order, best_key
         perms = _PERMS[len(free)]
-        cols = np.array([-1 if v is None else v for v in slots[t:]], dtype=np.intp)
+        cols = np.array(slots[t:], dtype=np.intp)
         orders = np.tile(cols, (len(perms), 1))
         orders[:, cols < 0] = np.array(free, dtype=np.intp)[perms]
         orders = orders[allowed[orders, np.arange(t, T)].all(axis=1)]
@@ -144,7 +150,7 @@ def _search(objective: Objective, slots, forbidden, incumbent=None):
         if open_after[t] <= _TAIL:
             tail(t, free, prefix, z, done)
             return
-        kids = [v for v in ((slots[t],) if slots[t] is not None else free)
+        kids = [v for v in ((slots[t],) if slots[t] >= 0 else free)
                 if allowed[v, t]]
         if not kids:
             return
@@ -175,7 +181,7 @@ def enumerate_optimal(instance: Instance, smp, regenerative: bool = True
         raise SizeGuardError(
             f"enumeration over {n}! permutations refused (limit {ENUMERATION_GUARD})")
     objective = Objective(instance, smp, regenerative)
-    order, key = _search(objective, [None] * n, ())
+    order, key = _search(objective, np.full((n, n), -1, dtype=np.int8))
     return Sequence(order), objective.tu(key)
 
 
@@ -398,26 +404,18 @@ def _station_duals(b, c: int, length: int, regenerative: bool
 
 def _cut_from_duals(instance: Instance, scenario: Scenario, sp_rows, wo_rows
                     ) -> OptimalityCut:
-    eff = _effective_rows(instance, scenario, IMPROVED_NEUTRAL)
-    n = instance.n_vehicles
-    T = n
-    c = instance.cycle_time
-    coeffs = [[0.0] * T for _ in range(n)]
-    offset = 0.0
-    for k in range(instance.n_stations):
-        sp, wo = sp_rows[k], wo_rows[k]
-        l_k = instance.stations[k].length
-        for t in range(T):
-            weight = sp[t] + wo[t]
-            if weight:
-                for v in range(n):
-                    coeffs[v][t] += weight * eff[k][v]
-            offset -= c * sp[t] + l_k * wo[t]
-    scale = TICKS_PER_TU
-    return OptimalityCut(
-        scenario=scenario,
-        coeffs=tuple(tuple(g / scale for g in row) for row in coeffs),
-        offset=offset / scale)
+    """The cut of the duals: coefficient (v, t) sums the station rows'
+    weight sp + wo at t times v's effective time, the offset the
+    multiplied right-hand sides.  Every multiplier is 0 or 1 and every
+    time an integer tick count, so the float sums are exact."""
+    eff = np.array(_effective_rows(instance, scenario, IMPROVED_NEUTRAL), dtype=float)
+    sp, wo = np.array(sp_rows), np.array(wo_rows)       # station x position
+    lengths = np.array([st.length for st in instance.stations], dtype=float)
+    coeffs = eff.T @ (sp + wo) / TICKS_PER_TU           # vehicle x position
+    offset = -(instance.cycle_time * sp.sum() + lengths @ wo.sum(axis=1))
+    return OptimalityCut(scenario=scenario,
+                         coeffs=tuple(map(tuple, coeffs.tolist())),
+                         offset=float(offset) / TICKS_PER_TU)
 
 
 def solve_dsp(instance: Instance, x, scenario: Scenario,
@@ -476,7 +474,7 @@ class LShapedResult(NamedTuple):
 
 class _Master:
     """Node LPs over the assignment polytope with theta variables and a
-    shared cut pool; branching is expressed through variable bounds.
+    shared cut pool; a node's fixing matrix becomes the assignment bounds.
 
     One HiGHS model lives for the whole solve: the assignment rows are
     passed once, each new cut is appended as a row, and a node solve
@@ -489,7 +487,6 @@ class _Master:
     """
 
     def __init__(self, instance: Instance, pairs, n):
-        self.instance = instance
         self.nv = instance.n_vehicles
         self.nx = self.nv * self.nv
         self.pairs = pairs
@@ -517,13 +514,9 @@ class _Master:
         self._key_set: set = set()
         self._solves = 0
 
-    def xvar(self, v: int, t: int) -> int:
-        return v * self.nv + t
-
     def add_cut(self, cut: OptimalityCut) -> bool:
         j = self.scen_index[cut.scenario]
-        key = (j, tuple(round(g, 12) for row in cut.coeffs for g in row),
-               round(cut.offset, 12))
+        key = (j, cut.coeffs, cut.offset)
         if key in self._key_set:
             return False
         self._key_set.add(key)
@@ -550,12 +543,9 @@ class _Master:
         self._keys = [self._keys[i] for i in keep]
         self.n_cuts = len(keep)
 
-    def solve(self, fixings: dict) -> LPResult:
-        lower = np.zeros(self.nx)
-        upper = np.ones(self.nx)
-        for (v, t), val in fixings.items():
-            lower[self.xvar(v, t)] = upper[self.xvar(v, t)] = float(val)
-        self.lp.set_bounds(self._xcols, lower, upper)
+    def solve(self, fix) -> LPResult:
+        """Re-solve with the assignment bounds of the fixing matrix fix."""
+        self.lp.set_bounds(self._xcols, np.ravel(fix == 1), np.ravel(fix != 0))
         res = self.lp.solve()
         self._solves += 1
         if res.status == OPTIMAL and self.n_cuts:
@@ -564,18 +554,25 @@ class _Master:
         return res
 
 
-def _integral_order(xmat, nv: int):
-    """Decode an integral assignment; None when any entry is fractional."""
-    order = []
-    for t in range(nv):
-        col = [xmat[v * nv + t] for v in range(nv)]
-        hits = [v for v, val in enumerate(col) if val > 0.5]
-        if len(hits) != 1:
-            return None
-        if any(min(val, 1.0 - val) > 1e-6 for val in col):
-            return None
-        order.append(hits[0])
-    return tuple(order) if len(set(order)) == nv else None
+def _integral_order(x, frac):
+    """Decode an integral assignment x (vehicle x position, frac =
+    min(x, 1 - x)); None when any entry is fractional."""
+    hits = x > 0.5
+    if (frac > 1e-6).any() or (hits.sum(axis=0) != 1).any() or \
+            (hits.sum(axis=1) != 1).any():
+        return None
+    return tuple(hits.argmax(axis=0).tolist())
+
+
+def _branch_pick(frac):
+    """The (vehicle, position) to branch on: the first entry in row-major
+    order whose frac beats the best so far by more than 1e-12, or None.
+    An entry at or below 1e-12 never beats the start value 0."""
+    pick, pick_frac = None, 0.0
+    for i in np.flatnonzero(frac > 1e-12).tolist():
+        if frac.flat[i] > pick_frac + 1e-12:
+            pick, pick_frac = i, frac.flat[i]
+    return None if pick is None else divmod(pick, frac.shape[1])
 
 
 _EXHAUST_CAP = 6         # most loose vehicles a node may close by search
@@ -643,24 +640,20 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
         (u for u in range(_EXHAUST_CAP + 1)
          if math.factorial(u) * len(pairs) <= _EXHAUST_BUDGET), default=0)
 
-    def close_exhaustively(fixings) -> bool:
-        """Search the completions consistent with the fixings for one
-        below the incumbent when few vehicles remain loose; exact, and
-        cheaper than relaxing on."""
-        slots = [None] * nv
-        for (v, t), val in fixings.items():
-            if val:
-                slots[t] = v
-        if slots.count(None) > exhaust_limit:
+    def close_exhaustively(fix) -> bool:
+        """Search the completions the fixing matrix allows for one below
+        the incumbent when few vehicles remain loose; exact, and cheaper
+        than relaxing on."""
+        if nv - np.count_nonzero(fix == 1) > exhaust_limit:
             return False
-        forbidden = [vt for vt, val in fixings.items() if not val]
-        found = _search(objective, slots, forbidden, best_key)
+        found = _search(objective, fix, best_key)
         if found is not None:
             consider(found[0])
         stats.leaf_exhausts += 1
         return True
 
-    heap = [(0.0, 0, 0, {})]          # bound, -depth, insertion, fixings
+    # bound, -depth, insertion, fixing matrix
+    heap = [(0.0, 0, 0, np.full((nv, nv), -1, dtype=np.int8))]
     counter = 1
     lb_final = None
     out_of_time = False
@@ -674,26 +667,28 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             out_of_time = True
             lb_final = open_bound()
             break
-        bound, _, _, fixings = heappop(heap)
+        bound, depth, _, fix = heappop(heap)
         if bound >= best_tu - margin:
             lb_final = best_tu
             break
         stats.nodes += 1
-        if close_exhaustively(fixings):
+        if close_exhaustively(fix):
             if best_tu - open_bound() <= params.gap_tol:
                 lb_final = open_bound()
                 break
             continue
-        res = master.solve(fixings)
+        res = master.solve(fix)
         stats.lp_solves += 1
-        is_root = not fixings
+        is_root = depth == 0
         if is_root and res.status == OPTIMAL:
             stats.root_bounds.append(res.objective)
         # lazy-cut loop: while the node optimum is an assignment, make
         # the thetas honest for it, then re-solve
         integral_done = False
         while res.status == OPTIMAL:
-            order = _integral_order(res.x, nv)
+            x = res.x[:master.nx].reshape(nv, nv)
+            frac = np.minimum(x, 1.0 - x)
+            order = _integral_order(x, frac)
             if order is None:
                 break
             consider(order)
@@ -709,37 +704,25 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
                 integral_done = True
                 break
             stats.cuts_added += added
-            res = master.solve(fixings)
+            res = master.solve(fix)
             stats.lp_solves += 1
             if is_root:
                 stats.root_bounds.append(res.objective)
         if res.status == OPTIMAL and not integral_done:
             node_bound = sharpen(res.objective)
             if node_bound < best_tu - margin:
-                xs = res.x
-                pick, pick_frac = None, 0.0
-                for v in range(nv):
-                    for t in range(nv):
-                        val = xs[master.xvar(v, t)]
-                        frac = min(val, 1.0 - val)
-                        if frac > pick_frac + 1e-12:
-                            pick_frac = frac
-                            pick = (v, t)
+                pick = _branch_pick(frac)
                 if pick is not None:
-                    depth = -(len(fixings) + 1)
                     for val in (1, 0):      # the committing branch first
-                        child = dict(fixings)
+                        child = fix.copy()
                         child[pick] = val
-                        heappush(heap, (node_bound, depth, counter, child))
+                        heappush(heap, (node_bound, depth - 1, counter, child))
                         counter += 1
         master.maybe_evict()
         if best_tu - open_bound() <= params.gap_tol:
             lb_final = open_bound()
             break
 
-    if best_order is None:                        # defensive fallback
-        consider(tuple(range(nv)))
-        lb_final = min(lb_final if lb_final is not None else 0.0, best_tu)
     if lb_final is None:                          # heap exhausted
         lb_final = best_tu
     if out_of_time:

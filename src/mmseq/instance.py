@@ -22,12 +22,19 @@ import yaml
 
 from .errors import ConfigError, ParseError
 from .seeding import make_rng
-from .timeunits import format_ticks, quantize, to_ticks
+from .timeunits import TICKS_PER_TU, format_ticks, quantize, to_ticks
 
 LOW_RISK = "low"
 HIGH_RISK = "high"
 
 FORMAT_VERSION = "mms-instance/1"
+
+# Longest station length or processing time (the cycle time is capped
+# by the station lengths): 10^6 TU = 10^10 ticks.  The evaluators sum
+# ticks along an order in int64, so with this bound the sums stay below
+# 2^63 for up to 9 * 10^8 vehicle-station terms instead of wrapping or
+# overflowing on the way into numpy.
+MAX_DURATION = 10**6 * TICKS_PER_TU
 
 # libyaml's parser where PyYAML was built with it: the same safe
 # constructor and resolver as yaml.safe_load, several times faster
@@ -93,6 +100,7 @@ class Instance:
 def validate(instance: Instance) -> list[str]:
     """Structural checks; returns a list of violation messages (empty when valid)."""
     out = []
+    too_long = f"must be at most {MAX_DURATION // TICKS_PER_TU} TU"
     if instance.cycle_time <= 0:
         out.append("cycle_time: must be positive")
     if instance.n_stations < 1:
@@ -104,6 +112,8 @@ def validate(instance: Instance) -> list[str]:
             out.append(f"station {st.id}: length must be positive")
         if st.length < instance.cycle_time:
             out.append(f"station {st.id}: length below cycle time")
+        if st.length > MAX_DURATION:
+            out.append(f"station {st.id}: length {too_long}")
     ids = [st.id for st in instance.stations]
     if ids != list(range(len(ids))):
         out.append("stations: ids must be 0..K-1 in order")
@@ -115,6 +125,8 @@ def validate(instance: Instance) -> list[str]:
             out.append(f"vehicle {veh.id}: expected {instance.n_stations} processing times")
         if any(p <= 0 for p in veh.processing_times):
             out.append(f"vehicle {veh.id}: processing times must be positive")
+        if any(p > MAX_DURATION for p in veh.processing_times):
+            out.append(f"vehicle {veh.id}: processing times {too_long}")
         if not (0.0 <= veh.failure_prob < 0.5):
             out.append(f"vehicle {veh.id}: failure_prob must lie in [0, 0.5)")
         if veh.risk_class not in (LOW_RISK, HIGH_RISK):

@@ -1,9 +1,11 @@
 """Command-line harness: outputs, file formats, exit codes, determinism."""
 
+import math
 import os
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from mmseq.cli import (COMPARE_HEADER, RUN_HEADER, RunRecord, format_solution,
                        main, parse_solution)
@@ -202,6 +204,9 @@ def test_solve_missing_instance_exits_2(capsys):
     ("stations", 1, None, 17, "stations[1]: expected a mapping"),
     ("stations", None, None, 17, "stations must be a list"),
     ("vehicles", 2, "is_ev", "false", "vehicles[2]: bad is_ev"),
+    ("vehicles", 3, "processing_times", [1e20, 90.0, 90.0, 90.0, 90.0],
+     "vehicle 3: processing times must be at most"),
+    ("stations", 0, "length", 1e17, "station 0: length must be at most"),
 ])
 def test_solve_malformed_instance_exits_2(instance_file, capsys, section, index,
                                           key, value, where):
@@ -220,6 +225,55 @@ def test_solve_malformed_instance_exits_2(instance_file, capsys, section, index,
     assert rc == 2
     assert where in err
     assert "Traceback" not in out + err
+
+
+# one mutated field of a valid file: strings, huge and negative numbers,
+# nan/inf, lists, mappings and null
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from(["abc", "1e400", "-5", "nan", "inf", "", "0x10"]),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.sampled_from([1e20, 1e17, -1e20, math.nan, math.inf, -math.inf, 0.0,
+                     -1.0, 1e-5, 1e6, 1e6 + 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-5, 300), max_size=6),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _node_paths(node, path=()):
+    """Key paths of every value below node, containers included."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out += _node_paths(child, path + (key,))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.yaml"
+    save(generate(preset_config(7, seed=100, size_class="small")), str(path))
+    with open(path, encoding="utf-8") as fh:
+        return str(path), yaml.safe_load(fh)
+
+
+@pytest.mark.filterwarnings("ignore:.*unknown fields")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_survives_one_mutated_field(fuzz_base, data):
+    path, base = fuzz_base
+    doc = yaml.safe_load(yaml.safe_dump(base))      # a fresh copy
+    *parents, last = data.draw(st.sampled_from(_node_paths(doc)))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(_JUNK)
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh)
+    assert main(["solve", "--instance", path, "--method", "greedy"]) in (0, 2)
 
 
 def test_solve_defaults_to_auto(instance_file, capsys):
@@ -347,6 +401,26 @@ def test_compare_reruns_match(instance_file, capsys):
     rc2, out2, _ = run_cli(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--method", "ts", "--time-limit", "-1"), "--time-limit"),
+    (("solve", "--iters", "-5"), "--iters"),
+    (("solve", "--sample-size", "-3"), "--sample-size"),
+    (("assess", "--solution", "sol.txt", "--replications", "1"), "--replications"),
+    (("assess", "--solution", "sol.txt", "--alpha", "2"), "--alpha"),
+    (("assess", "--solution", "sol.txt", "--sample-size", "-4"), "--sample-size"),
+    (("compare", "--sample-size", "5", "--eval-size", "0"), "--eval-size"),
+    (("compare", "--sample-size", "5", "--eval-size", "-2"), "--eval-size"),
+    (("solve", "--seed", "-1"), "--seed"),
+    (("compare", "--sample-size", "5", "--eval-seed", "-7"), "--eval-seed"),
+])
+def test_bad_flag_values_exit_2(instance_file, capsys, argv, flag):
+    path = instance_file(n=7, seed=100)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--instance", path, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
 
 
 def test_compare_rejects_zero_sample_size(instance_file, capsys):

@@ -13,9 +13,9 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, evaluate, evaluate_expected,
                              evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
-                         _Master, _search, _suffix_bound, enumerate_optimal,
-                         full_information, lshaped_solve, recourse_lp,
-                         solve_dsp)
+                         _branch_pick, _integral_order, _Master, _search,
+                         _suffix_bound, enumerate_optimal, full_information,
+                         lshaped_solve, recourse_lp, solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
 from mmseq.lp import EQ, LE, OPTIMAL, LinearProgram, solve_lp
@@ -200,6 +200,33 @@ def test_cuts_need_no_lp(rng, monkeypatch):
         assert dual.is_feasible(1e-9)
 
 
+def cut_loop(inst, scen, dual):
+    """The optimality cut of dual, accumulated entry by entry."""
+    n, c = inst.n_vehicles, inst.cycle_time
+    coeffs = [[0.0] * n for _ in range(n)]
+    offset = 0.0
+    for row, st, sp, wo in zip(inst.processing_rows(), inst.stations,
+                               dual.pi_sp, dual.pi_wo):
+        eff = [row[v] if scen.exists[v] else c for v in range(n)]
+        for t in range(n):
+            for v in range(n):
+                coeffs[v][t] += (sp[t] + wo[t]) * eff[v]
+            offset -= c * sp[t] + st.length * wo[t]
+    return (tuple(tuple(g / TICKS_PER_TU for g in row) for row in coeffs),
+            offset / TICKS_PER_TU)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_cut_product_matches_the_entry_loop(seed, regen):
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 9))
+    inst = random_instance(rng, n=n)
+    scen = random_scenario(rng, n)
+    dual, cut = solve_dsp(inst, random_order(rng, n), scen, regenerative=regen)
+    assert (cut.coeffs, cut.offset) == cut_loop(inst, scen, dual)
+
+
 def test_dual_violation_measure():
     ok = DualSolution(pi_sp=((1.0, 1.0),), pi_wo=((0.0, 0.0),))
     assert ok.max_violation() == pytest.approx(0.0)
@@ -273,16 +300,20 @@ def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
     n = int(rng.integers(2, 8))
     inst = random_instance(rng, n=n)
     smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
-    slots, forbidden = [None] * n, []
+    fixing = np.full((n, n), -1, dtype=np.int8)     # vehicle x position
     if fix:
         perm = random_order(rng, n)
-        slots = [v if rng.random() < 0.3 else None for v in perm]
-        forbidden = [(int(rng.integers(0, n)), int(rng.integers(0, n)))
-                     for _ in range(int(rng.integers(0, 2 * n)))]
+        for t, v in enumerate(perm):
+            if rng.random() < 0.3:
+                fixing[v, t] = 1
+        for _ in range(int(rng.integers(0, 2 * n))):
+            v, t = int(rng.integers(0, n)), int(rng.integers(0, n))
+            if fixing[v, t] != 1:
+                fixing[v, t] = 0
     keys = {}
     for order in itertools.permutations(range(n)):
-        if all(s is None or s == v for s, v in zip(slots, order)) and \
-                not any(order[t] == v for v, t in forbidden):
+        if all(order[t] == v for v, t in np.argwhere(fixing == 1)) and \
+                all(fixing[v, t] != 0 for t, v in enumerate(order)):
             keys[order] = sum(count * station_cost(inst, order, scen, regen)
                               for scen, count in smp.unique)
     best = min(keys, key=keys.get) if keys else None   # first in lex order
@@ -290,7 +321,7 @@ def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
              "above": None if best is None else keys[best] + 1}[incumbent]
     if incumbent == "random":
         bound = int(rng.integers(0, 2 + 2 * max(keys.values(), default=0)))
-    got = _search(Objective(inst, smp, regen), slots, forbidden, bound)
+    got = _search(Objective(inst, smp, regen), fixing, bound)
     if best is None or bound is not None and keys[best] >= bound:
         assert got is None
     else:
@@ -502,7 +533,10 @@ def test_warm_master_matches_a_cold_solve(seed):
                 by_key[master._keys[-1]] = cut
         fixings = {(int(rng.integers(nv)), int(rng.integers(nv))):
                    int(rng.integers(2)) for _ in range(int(rng.integers(4)))}
-        warm = master.solve(fixings)
+        fix = np.full((nv, nv), -1, dtype=np.int8)
+        for (v, t), val in fixings.items():
+            fix[v, t] = val
+        warm = master.solve(fix)
         cuts = [by_key[key] for key in master._keys]
         assert master.lp.n_rows == master.n_base + len(cuts)
         lp = cold_master(inst, pairs, objective.n, cuts, fixings)
@@ -526,6 +560,72 @@ def test_warm_master_matches_a_cold_solve(seed):
         master.maybe_evict()
         evictions += master.n_cuts < before
     assert evictions or len(by_key) <= master.pool_cap
+
+
+def branch_pick_loop(xs, nv):
+    """The branching rule as a loop over every entry of the flat LP
+    solution: the first one whose frac beats the best by more than 1e-12."""
+    pick, pick_frac = None, 0.0
+    for v in range(nv):
+        for t in range(nv):
+            val = xs[v * nv + t]
+            frac = min(val, 1.0 - val)
+            if frac > pick_frac + 1e-12:
+                pick_frac = frac
+                pick = (v, t)
+    return pick
+
+
+# LP-like values: near-ties around 0.5 and below it, values within 1e-12
+# of 0 and 1, and anything in [0, 1]
+_LP_VALUE = st.one_of(
+    st.builds(lambda base, k: base + k * 1e-13,
+              st.sampled_from([0.5, 0.4, 0.25]), st.integers(-20, 20)),
+    st.integers(-15, 15).map(lambda k: k * 1e-13),
+    st.integers(-15, 15).map(lambda k: 1.0 + k * 1e-13),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda nv: st.lists(_LP_VALUE, min_size=nv * nv, max_size=nv * nv)))
+def test_branch_pick_matches_the_entry_loop(xs):
+    nv = math.isqrt(len(xs))
+    x = np.array(xs).reshape(nv, nv)
+    assert _branch_pick(np.minimum(x, 1.0 - x)) == branch_pick_loop(xs, nv)
+
+
+def integral_order_loop(xs, nv):
+    """Decode a flat LP solution column by column; None unless every
+    entry is within 1e-6 of integral and the hits form a permutation."""
+    order = []
+    for t in range(nv):
+        col = [xs[v * nv + t] for v in range(nv)]
+        hits = [v for v, val in enumerate(col) if val > 0.5]
+        if len(hits) != 1:
+            return None
+        if any(min(val, 1.0 - val) > 1e-6 for val in col):
+            return None
+        order.append(hits[0])
+    return tuple(order) if len(set(order)) == nv else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_integral_order_matches_the_column_loop(seed):
+    rng = make_rng(seed)
+    nv = int(rng.integers(1, 8))
+    x = np.zeros((nv, nv))
+    x[random_order(rng, nv), np.arange(nv)] = 1.0
+    # 0 and 1 move or add hits (non-permutations); the rest sit at,
+    # just inside or just outside 1e-6 of integral, or are fractional
+    for _ in range(int(rng.integers(0, 4))):
+        x[int(rng.integers(nv)), int(rng.integers(nv))] = rng.choice(
+            [0.0, 1.0, 0.5, 0.5 + 1e-7, 1e-6, 1e-6 + 1e-9, 1e-6 - 1e-9,
+             1.0 - 1e-6, 1.0 - 1e-6 - 1e-9, 1.0 + 1e-6, -1e-6, -1e-6 - 1e-9])
+    assert _integral_order(x, np.minimum(x, 1.0 - x)) == \
+        integral_order_loop(x.ravel().tolist(), nv)
 
 
 def test_lshaped_deterministic():
