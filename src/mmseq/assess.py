@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from scipy import stats as scipy_stats
+# scipy.stats would make `import mmseq` about twice as slow; its t.ppf
+# is special.stdtrit, which the HiGHS import in lp already loads
+from scipy.special import stdtrit
 
 from .errors import MMSeqError
 from .evaluator import Sequence, evaluate_expected
@@ -33,7 +35,7 @@ def t_quantile(alpha: float, dof: int) -> float:
         raise ValueError("degrees of freedom must be at least 1")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    return float(scipy_stats.t.ppf(1.0 - alpha, dof))
+    return float(stdtrit(dof, 1.0 - alpha))
 
 
 @dataclass(frozen=True)

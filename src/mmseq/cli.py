@@ -167,8 +167,6 @@ def _solver_for(method: str, args):
 # commands
 
 def cmd_generate(args) -> int:
-    if args.count < 0:
-        raise ConfigError("count must be nonnegative")
     if args.size_class not in SIZE_CLASSES:
         raise ConfigError(f"unknown size class {args.size_class!r}")
     out_dir = args.out or "."
@@ -270,8 +268,6 @@ COMPARE_HEADER = ("instance,method,sample_size,eval_size,"
 
 def cmd_compare(args) -> int:
     instance = _load_instance(args.instance)
-    if not args.sample_size or args.sample_size < 1:
-        raise ConfigError("compare needs --sample-size >= 1")
     method = _pick_method(instance, args.method)
     solver = _solver_for(method, args)
     smp = sample(instance, args.sample_size, args.sample_seed)
@@ -347,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write benchmark instance files")
     g.add_argument("--class", dest="size_class", required=True,
                    choices=sorted(SIZE_CLASSES))
-    g.add_argument("--count", type=int, default=30,
+    g.add_argument("--count", type=_COUNT, default=30,
                    help="instances per size in the class")
     common(g)
     g.set_defaults(func=cmd_generate)
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--method", default="auto",
                    choices=["auto", "enum", "lshaped", "ts"])
-    c.add_argument("--sample-size", type=int, required=True)
+    c.add_argument("--sample-size", type=_POSITIVE, required=True)
     c.add_argument("--sample-seed", type=_COUNT, default=0)
     c.add_argument("--eval-size", type=_POSITIVE, default=1000)
     c.add_argument("--eval-seed", type=_COUNT)

@@ -8,6 +8,9 @@ prod_v f_v^(1 - e_v) * (1 - f_v)^e_v.
 Samples deduplicate repeated draws: the estimator only ever needs the
 distinct scenarios with their multiplicities n_w, and sums of integer
 tick values weighted by integer counts keep sample averages exact.
+`sample` draws all N x V variates at once and finds the distinct rows
+by packing each into big-endian 64-bit words and lexsorting the words,
+which orders the rows lexicographically, the order a Sample keeps.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Scenario:
     exists: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e not in (0, 1) for e in self.exists):
+        if not frozenset(self.exists) <= {0, 1}:
             raise ValueError("scenario entries must be 0 or 1")
 
     @classmethod
@@ -76,7 +79,8 @@ class Sample:
         if sum(c for _, c in self.unique) != self.n:
             raise ValueError("multiplicities must sum to n")
         keys = [s.exists for s, _ in self.unique]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        # strictly increasing is sorted and distinct in one pass
+        if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("unique scenarios must be distinct and sorted")
         if any(c <= 0 for _, c in self.unique):
             raise ValueError("multiplicities must be positive")
@@ -125,11 +129,26 @@ def sample(instance: Instance, n: int, seed: int,
     exists = u >= np.array([veh.failure_prob for veh in instance.vehicles])
     if forbid_low_risk_failures:
         exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
-    # np.unique sorts the rows lexicographically, the order Sample keeps
-    rows, counts = np.unique(exists.astype(np.int8), axis=0, return_counts=True)
+    rows, counts = _unique_rows(exists)
     unique = tuple((Scenario(tuple(row)), count)
                    for row, count in zip(rows.tolist(), counts.tolist()))
     return Sample(n=n, seed=seed, unique=unique)
+
+
+def _unique_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D bool array as int8, in lexicographic
+    order, with their counts: np.unique(axis=0, return_counts=True)
+    without its void-row sort.  Each row is packed big-endian into
+    64-bit words, so comparing word tuples compares the rows."""
+    n, width = flags.shape
+    packed = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-width // 8)] = np.packbits(flags, axis=1)
+    words = packed.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])  # lexsort's last key is the primary one
+    words = words[order]
+    starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, n])
+    return flags[order[starts]].astype(np.int8), counts
 
 
 def enumerate_all(instance: Instance) -> Iterator[tuple[Scenario, float]]:

@@ -1,9 +1,13 @@
 """Replication-based gap assessment and the integrated sizing loop."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mmseq
 from mmseq.assess import (MRPReport, ReplicationRow, SAAOutcome,
                           enumeration_solver, lshaped_solver, mrp,
                           mrp_integrated_saa, t_quantile, tabu_solver)
@@ -22,6 +26,25 @@ def test_t_quantile_reference_values():
     assert t_quantile(0.05, 29) == pytest.approx(1.699127, abs=1e-5)
     assert t_quantile(0.05, 10**6) == pytest.approx(1.644854, abs=1e-4)
     assert t_quantile(0.5, 7) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_t_quantile_matches_scipy_stats():
+    from scipy import stats     # here only: mmseq itself does not import it
+    for dof in [*range(1, 61), 10**3, 10**6]:
+        for alpha in (1e-9, 0.001, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5, 0.9,
+                      1 - 1e-9):
+            assert t_quantile(alpha, dof) == float(stats.t.ppf(1 - alpha, dof))
+
+
+def test_import_does_not_load_scipy_stats():
+    code = ("import sys, mmseq, mmseq.cli; "
+            "print('scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(mmseq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_t_quantile_validation():

@@ -100,13 +100,6 @@ def test_generate_runs_are_byte_identical(tmp_path, capsys):
             assert fa.read() == fb.read()
 
 
-def test_generate_negative_count_exits_2(tmp_path, capsys):
-    rc, _, err = run_cli(capsys, "generate", "--class", "small",
-                         "--count", "-1", "--out", str(tmp_path))
-    assert rc == 2
-    assert "error:" in err
-
-
 # ------------------------------------------------------------------ solve
 
 def test_solve_greedy_worked_example(tmp_path, capsys):
@@ -357,6 +350,45 @@ def test_assess_malformed_solution_exits_2(instance_file, tmp_path, capsys,
     assert "Traceback" not in out + err
 
 
+@pytest.fixture(scope="module")
+def solution_base(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("solution-fuzz")
+    path = str(folder / "inst.yaml")
+    save(generate(preset_config(7, seed=106, size_class="small")), path)
+    sol = folder / "sol.txt"
+    assert main(["solve", "--instance", path, "--method", "greedy",
+                 "--out", str(sol)]) == 0
+    return path, sol.read_text(encoding="utf-8").splitlines(), folder / "bad.txt"
+
+
+# junk for one line or one space-separated token of a solution file
+_SOLUTION_JUNK = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", " ", "-", "-1", "7", "99", "1e400", "nan", "0x10",
+                     "0 1 2", "mms-solution/2", "sequence", "instance"]),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_assess_survives_one_mutated_solution_token(solution_base, data):
+    path, lines, bad = solution_base
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    junk = data.draw(_SOLUTION_JUNK)
+    if data.draw(st.booleans()):
+        lines[i] = junk
+    else:
+        tokens = lines[i].split(" ")
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = junk
+        lines[i] = " ".join(tokens)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["assess", "--instance", path, "--solution", str(bad),
+                 "--method", "enum", "--replications", "2",
+                 "--sample-size", "10"]) in (0, 2)
+
+
 def test_assess_missing_solution_exits_2(instance_file, capsys):
     path = instance_file(n=6, seed=109)
     rc, _, err = run_cli(capsys, "assess", "--instance", path,
@@ -414,18 +446,17 @@ def test_compare_reruns_match(instance_file, capsys):
     (("compare", "--sample-size", "5", "--eval-size", "-2"), "--eval-size"),
     (("solve", "--seed", "-1"), "--seed"),
     (("compare", "--sample-size", "5", "--eval-seed", "-7"), "--eval-seed"),
+    (("compare", "--sample-size", "0"), "--sample-size"),
+    (("compare", "--sample-size", "-3"), "--sample-size"),
+    (("generate", "--class", "small", "--count", "-1"), "--count"),
 ])
-def test_bad_flag_values_exit_2(instance_file, capsys, argv, flag):
-    path = instance_file(n=7, seed=100)
+def test_bad_flag_values_exit_2(instance_file, tmp_path, capsys, argv, flag):
+    if argv[0] == "generate":
+        place = ("--out", str(tmp_path))
+    else:
+        place = ("--instance", instance_file(n=7, seed=100))
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--instance", path, *argv[1:]])
+        main([argv[0], *place, *argv[1:]])
     assert exc.value.code == 2
     assert f"argument {flag}: expected" in capsys.readouterr().err
 
-
-def test_compare_rejects_zero_sample_size(instance_file, capsys):
-    path = instance_file(n=6, seed=111)
-    rc, _, err = run_cli(capsys, "compare", "--instance", path,
-                         "--sample-size", "0")
-    assert rc == 2
-    assert "sample-size" in err

@@ -4,7 +4,9 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmseq.errors import ParseError, SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
@@ -31,8 +33,9 @@ def test_scenario_bits_round_trip():
 
 
 def test_scenario_rejects_non_binary():
-    with pytest.raises(ValueError):
-        Scenario((0, 2))
+    for entry in (2, "1", -1):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Scenario((0, entry))
 
 
 def test_probability_no_failures():
@@ -152,6 +155,26 @@ def test_sample_matches_the_per_draw_reference(forbid):
     assert smp != sample(inst, 500, seed=7, forbid_low_risk_failures=not forbid)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 130).flatmap(lambda v: st.tuples(
+           st.lists(st.sampled_from([0.0, 0.01, 0.2, 0.5]), min_size=v,
+                    max_size=v),
+           st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans())))
+def test_sample_matches_np_unique_rows(case):
+    probs, n, seed, forbid = case
+    inst = Instance.of(5, (5,), [
+        Vehicle.of(v, False, (5,), p, HIGH_RISK if p >= 0.2 else LOW_RISK)
+        for v, p in enumerate(probs)])
+    exists = make_rng(seed).random((n, len(probs))) >= np.array(probs)
+    if forbid:
+        exists |= np.array(probs) < 0.2
+    rows, counts = np.unique(exists.astype(np.int8), axis=0, return_counts=True)
+    smp = sample(inst, n, seed, forbid_low_risk_failures=forbid)
+    assert [s.exists for s, _ in smp.unique] == [tuple(r) for r in rows.tolist()]
+    assert [c for _, c in smp.unique] == counts.tolist()
+    assert np.array_equal(smp.existence, rows.T.astype(bool))
+
+
 def test_sample_existence_is_cached_and_read_only():
     inst = generate(preset_config(8, seed=4, size_class="small"))
     smp = sample(inst, 200, seed=3)
@@ -180,9 +203,12 @@ def test_degenerate_sample():
 def test_sample_validation():
     with pytest.raises(ValueError):
         Sample(n=2, seed=None, unique=((Scenario((1, 1)), 1),))
-    with pytest.raises(ValueError):
-        Sample(n=2, seed=None, unique=(
-            (Scenario((1, 1)), 1), (Scenario((0, 1)), 1)))  # unsorted
+    for keys in (((1, 1), (0, 1)),              # unsorted
+                 ((0, 1), (0, 1)),              # duplicate
+                 ((0, 1), (1, 1), (1, 0))):     # unsorted after a sorted pair
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            Sample(n=len(keys), seed=None,
+                   unique=tuple((Scenario(k), 1) for k in keys))
 
 
 def test_sample_file_round_trip(tmp_path):
