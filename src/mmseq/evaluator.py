@@ -30,12 +30,22 @@ scenario and station in pure Python and keeps the full trace: it is the
 reference in the tests, and it feeds the cut duals and trace_csv.
 station_step is one position of it, elementwise over any broadcast
 shape of int64 arrays, and every batched caller runs on it:
-Objective.ticks over orders x scenarios x stations for full
+Objective.ticks over orders x stations x scenarios for full
 evaluations, Trajectory._scan over scenarios x stations for
 local-search probes (partial_reevaluate rescans only the window a move
 disturbs), greedy.construct over candidates x stations on the nominal
 scenario, and the exact search (exact._search) over the children of a
 node x scenarios x stations.
+
+The hot callers keep numpy's inner loop long: a per-station constant
+such as cap broadcasts along the contiguous axis or comes at full
+shape (see station_step).  Objective.ticks steps an orders x stations
+x scenarios state, so the scenario axis is contiguous and each
+vehicle's eta broadcasts along it; Trajectory and exact._search keep
+their per-vehicle scenarios x stations blocks.  All three pass cap at
+full shape, built once per call or per trajectory.  greedy.construct
+steps only candidates x stations once per position and keeps the (K,)
+cap.
 """
 
 from __future__ import annotations
@@ -146,6 +156,12 @@ def station_step(z, eta, cap, last: bool = False, out=(None, None, None)):
     broadcast shape: s = max(z + eta, 0), z' = min(s, cap), and
     w = s - z', or w = s at the regenerative last position.
 
+    Any layout works.  A fast one gives eta and cap the full shape of z,
+    or broadcasts them along z's contiguous axis: a stations x 1 cap
+    for a stations x scenarios state, never a (K,) cap for a
+    scenarios x stations one, which makes numpy loop over K elements at
+    a time.
+
     out holds optional buffers for (s, z', w); z' may be z itself.
     Returns (s, z', w).
     """
@@ -241,14 +257,17 @@ class Objective:
         orders = np.asarray(orders, dtype=np.intp)
         n_orders, T = orders.shape
         last = T - 1 if self.regenerative else T
-        z = np.zeros((n_orders, self.exists.shape[1], len(self.cap)), dtype=np.int64)
-        s, w, total = np.empty_like(z), np.empty_like(z), np.zeros_like(z)
+        # orders x stations x scenarios: the scenario axis is contiguous
+        z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=np.int64)
+        eta, s, w, cap = (np.empty_like(z) for _ in range(4))
+        cap[...] = self.cap[:, None]
+        total = np.zeros_like(z)
         for t in range(T):
             v = orders[:, t]
-            eta = np.where(self.exists[v][:, :, None], self.eta[v][:, None, :], 0)
-            station_step(z, eta, self.cap, t == last, out=(s, z, w))
+            np.multiply(self.exists[v][:, None, :], self.eta[v][:, :, None], out=eta)
+            station_step(z, eta, cap, t == last, out=(s, z, w))
             total += w
-        return total.sum(axis=2)
+        return total.sum(axis=1)
 
     def keys(self, orders) -> list:
         """Comparison key of each order in the batch (Python numbers)."""
@@ -329,6 +348,8 @@ class Trajectory:
         self._zbuf = np.zeros_like(self.z)
         self._wbuf = np.zeros_like(self.w)
         self._s = np.empty((n_scenarios, n_stations), dtype=np.int64)
+        self._cap = np.empty_like(self._s)
+        self._cap[...] = objective.cap
         # row views, indexed from Python lists in the scan loop
         self._eta_rows = list(objective.scenario_eta)
         self._z_rows = list(self.z)
@@ -347,7 +368,7 @@ class Trajectory:
         unchanged interior (t1, t2) such a position bridges the scan to
         t2.  Returns the scanned windows [a, b)."""
         z, zbuf, wbuf, eta = self._z_rows, self._zbuf_rows, self._wbuf_rows, self._eta_rows
-        s, cap, last = self._s, self.objective.cap, self._last
+        s, cap, last = self._s, self._cap, self._last
         T = len(order)
         windows = []
         a = t = t1

@@ -121,6 +121,12 @@ def _search(objective: Objective, fix, incumbent=None):
     # the vehicle fixed at each position, -1 where the position is open
     slots = np.where(fixed.any(axis=0), fixed.argmax(axis=0), -1).tolist()
     loose = np.flatnonzero(~fixed.any(axis=1)).tolist()
+    # cap at full shape for the widest batch (a tail's completions or a
+    # node's children), sliced per step: a (K,) operand would make
+    # numpy's inner loop run over K elements at a time
+    caps = np.empty((max(len(_PERMS[min(len(loose), _TAIL)]), T),) + eta.shape[1:],
+                    dtype=np.int64)
+    caps[...] = cap
     open_after = [slots[t:].count(-1) for t in range(T + 1)]
     last = T - 1 if objective.regenerative else T
     weigh = objective._weigh
@@ -138,8 +144,9 @@ def _search(objective: Objective, fix, incumbent=None):
             return
         zs = np.repeat(z[None], len(orders), axis=0)
         s, w, total = np.empty_like(zs), np.empty_like(zs), np.zeros_like(zs)
+        cap_t = caps[:len(zs)]
         for j in range(T - t):
-            station_step(zs, eta[orders[:, j]], cap, t + j == last, out=(s, zs, w))
+            station_step(zs, eta[orders[:, j]], cap_t, t + j == last, out=(s, zs, w))
             total += w
         keys = weigh(done + total.sum(axis=2))
         i = min(range(len(keys)), key=keys.__getitem__)
@@ -155,12 +162,13 @@ def _search(objective: Objective, fix, incumbent=None):
         if not kids:
             return
         # more than _TAIL open positions follow, so t is not the last
-        _, zc, w = station_step(z, eta[kids], cap)
+        cap_c = caps[:len(kids)]
+        _, zc, w = station_step(z, eta[kids], cap_c)
         done_c = done + w.sum(axis=2)
         eta_c = rest_eta - eta[kids]
         excess_c = rest_excess - excess[kids]
         bounds = weigh(done_c + _suffix_bound(
-            zc, eta_c, excess_c, cap, objective.regenerative).sum(axis=2))
+            zc, eta_c, excess_c, cap_c, objective.regenerative).sum(axis=2))
         for i, v in enumerate(kids):
             if best_key is not None and bounds[i] >= best_key:
                 continue
@@ -169,6 +177,9 @@ def _search(objective: Objective, fix, incumbent=None):
 
     expand(0, loose, (), np.zeros(eta.shape[1:], dtype=np.int64),
            np.zeros(eta.shape[1], dtype=np.int64), eta.sum(axis=0), excess.sum(axis=0))
+    # expand refers to itself, a reference cycle that would keep this
+    # call's arrays alive until the next garbage collection
+    del expand
     return None if best_order is None else (best_order, best_key)
 
 

@@ -395,15 +395,23 @@ def _ticks(value, key: str, context: str) -> int:
         raise _bad(context, key, value, "a duration") from exc
 
 
-def load(path) -> Instance:
-    """Parse and validate an instance file; raises ParseError / ConfigError."""
-    text = Path(path).read_text(encoding="utf-8")
+def read_mapping(path) -> dict:
+    """The top-level mapping of a YAML file.  Raises ParseError for text
+    that is not UTF-8 or not YAML, and for a scalar that its tag or its
+    form cannot build (!!int x, 2001-13-45), where PyYAML's constructors
+    raise a bare ValueError."""
     try:
-        doc = yaml.load(text, Loader=SAFE_LOADER)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=SAFE_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at top level")
+    return doc
+
+
+def load(path) -> Instance:
+    """Parse and validate an instance file; raises ParseError / ConfigError."""
+    doc = read_mapping(path)
     version = _need(doc, "version", str(path))
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported version {version!r}")

@@ -23,10 +23,9 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-import yaml
 
 from .errors import ParseError, SizeGuardError
-from .instance import SAFE_LOADER, Instance
+from .instance import Instance, read_mapping
 from .seeding import make_rng
 
 ENUMERATION_GUARD = 20
@@ -79,6 +78,8 @@ class Sample:
         if sum(c for _, c in self.unique) != self.n:
             raise ValueError("multiplicities must sum to n")
         keys = [s.exists for s, _ in self.unique]
+        if len(set(map(len, keys))) > 1:
+            raise ValueError("unique scenarios must all have one length")
         # strictly increasing is sorted and distinct in one pass
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("unique scenarios must be distinct and sorted")
@@ -104,7 +105,8 @@ class Sample:
 
     @functools.cached_property
     def existence(self) -> np.ndarray:
-        """Read-only vehicles x unique scenarios existence flags."""
+        """Read-only vehicles x unique scenarios existence flags; sample()
+        seeds them from its drawn rows."""
         n_vehicles = len(self.unique[0][0].exists) if self.unique else 0
         return existence([s for s, _ in self.unique], n_vehicles)
 
@@ -131,15 +133,20 @@ def sample(instance: Instance, n: int, seed: int,
         exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
     rows, counts = _unique_rows(exists)
     unique = tuple((Scenario(tuple(row)), count)
-                   for row, count in zip(rows.tolist(), counts.tolist()))
-    return Sample(n=n, seed=seed, unique=unique)
+                   for row, count in zip(rows.view(np.int8).tolist(), counts.tolist()))
+    smp = Sample(n=n, seed=seed, unique=unique)
+    # seed the cached flags from the rows at hand instead of the tuples
+    flags = np.ascontiguousarray(rows.T)
+    flags.flags.writeable = False
+    smp.__dict__["existence"] = flags
+    return smp
 
 
 def _unique_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D bool array as int8, in lexicographic
-    order, with their counts: np.unique(axis=0, return_counts=True)
-    without its void-row sort.  Each row is packed big-endian into
-    64-bit words, so comparing word tuples compares the rows."""
+    """The distinct rows of a 2-D bool array, in lexicographic order,
+    with their counts: np.unique(axis=0, return_counts=True) without its
+    void-row sort.  Each row is packed big-endian into 64-bit words, so
+    comparing word tuples compares the rows."""
     n, width = flags.shape
     packed = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
     packed[:, :-(-width // 8)] = np.packbits(flags, axis=1)
@@ -148,7 +155,7 @@ def _unique_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words = words[order]
     starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
     counts = np.diff(np.r_[starts, n])
-    return flags[order[starts]].astype(np.int8), counts
+    return flags[order[starts]], counts
 
 
 def enumerate_all(instance: Instance) -> Iterator[tuple[Scenario, float]]:
@@ -184,13 +191,7 @@ def _integer(value, field: str, path) -> int:
 
 
 def load_sample(path) -> Sample:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = yaml.load(text, Loader=SAFE_LOADER)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a mapping at top level")
+    doc = read_mapping(path)
     for key in ("version", "seed", "n", "scenarios"):
         if key not in doc:
             raise ParseError(f"{path}: missing required field '{key}'")

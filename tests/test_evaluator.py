@@ -192,6 +192,29 @@ def test_objective_ticks_match_the_reference_recursion(seed, regen):
          for s in scenarios] for o in orders]
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("regen", [True, False])
+@pytest.mark.parametrize("n_orders", [1, 4])
+def test_objective_ticks_match_the_reference_over_many_scenarios(seed, regen, n_orders):
+    rng = make_rng(seed)
+    inst = random_instance(rng, n=8)
+    smp = Sample.from_scenarios([random_scenario(rng, 8) for _ in range(200)])
+    assert smp.n_unique > 64
+    orders = [random_order(rng, 8) for _ in range(n_orders)]
+    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
+        [evaluate(inst, o, s, regenerative=regen).total_overload
+         for s, _ in smp.unique] for o in orders]
+
+
+def test_expected_overload_on_the_large_preset_matches_the_reference():
+    inst = generate(preset_config(200, seed=8, size_class="large"))
+    smp = sample(inst, 300, seed=41)
+    order = random_order(make_rng(41), 200)
+    want = sum(count * evaluate(inst, order, s).total_overload
+               for s, count in smp.unique)
+    assert evaluate_expected(inst, order, smp) == want / (smp.n * TU)
+
+
 def test_objective_keys_are_exact_numerators():
     inst = generate(preset_config(8, seed=22, size_class="small"))
     orders = [tuple(range(8)), (7, 6, 5, 4, 3, 2, 1, 0)]

@@ -185,3 +185,12 @@ def test_load_rejects_malformed_yaml(tmp_path):
     path.write_text("version: [mms-instance/1\ncycle_time: 7\n")
     with pytest.raises(ParseError, match="bad.yaml"):
         load(path)
+
+
+@pytest.mark.parametrize("value", ["2001-13-45", "!!float x"])
+def test_load_rejects_unbuildable_scalars(tmp_path, value):
+    # PyYAML builds these with a bare ValueError: no such date, bad tag
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"version: mms-instance/1\ncycle_time: {value}\n")
+    with pytest.raises(ParseError, match="bad.yaml"):
+        load(path)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mmseq.errors import ParseError, SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
-from mmseq.scenario import (Sample, Scenario, enumerate_all, load_sample,
-                            sample, save_sample, scenario_probability)
+from mmseq.scenario import (Sample, Scenario, enumerate_all, existence,
+                            load_sample, sample, save_sample,
+                            scenario_probability)
 from mmseq.seeding import make_rng
 
 
@@ -185,6 +186,19 @@ def test_sample_existence_is_cached_and_read_only():
         flags[0, 0] = not flags[0, 0]
 
 
+@pytest.mark.parametrize("size_class, n_vehicles", [
+    ("small", 8), ("medium", 40), ("large", 200)])
+@pytest.mark.parametrize("seed", [1, 7, 103])
+def test_sample_seeds_existence_from_the_drawn_rows(size_class, n_vehicles, seed):
+    inst = generate(preset_config(n_vehicles, seed, size_class))
+    smp = sample(inst, 500, seed, forbid_low_risk_failures=seed == 7)
+    flags = smp.existence          # seeded by sample, not built from the tuples
+    assert flags.dtype == bool and flags.flags.c_contiguous
+    assert np.array_equal(flags, existence([s for s, _ in smp.unique], n_vehicles))
+    with pytest.raises(ValueError):
+        flags[0, 0] = not flags[0, 0]
+
+
 def test_from_scenarios_deduplicates():
     a = Scenario((1, 1))
     b = Scenario((1, 0))
@@ -209,6 +223,9 @@ def test_sample_validation():
         with pytest.raises(ValueError, match="distinct and sorted"):
             Sample(n=len(keys), seed=None,
                    unique=tuple((Scenario(k), 1) for k in keys))
+    with pytest.raises(ValueError, match="one length"):
+        Sample(n=2, seed=None,
+               unique=((Scenario((0, 1)), 1), (Scenario((0, 1, 1)), 1)))
 
 
 def test_sample_file_round_trip(tmp_path):
@@ -217,6 +234,18 @@ def test_sample_file_round_trip(tmp_path):
     path = tmp_path / "sample.yaml"
     save_sample(smp, path)
     assert load_sample(path) == smp
+
+
+@pytest.mark.parametrize("scenarios", [
+    '[{bits: "01", count: 1}, {bits: "011", count: 2}]',   # two lengths
+    '[{bits: "011", count: 3}]\nextra: 2001-13-45',       # no such date
+    '[{bits: !!int x, count: 3}]',                         # bad tagged scalar
+])
+def test_load_sample_rejects_bad_values_as_parse_errors(tmp_path, scenarios):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"version: mms-sample/1\nseed: 1\nn: 3\nscenarios: {scenarios}\n")
+    with pytest.raises(ParseError, match="bad.yaml"):
+        load_sample(path)
 
 
 def test_load_sample_rejects_malformed_yaml(tmp_path):
@@ -254,3 +283,37 @@ def test_load_sample_rejects_malformed_fields(tmp_path, seed, scenarios, where):
                     f"scenarios: {scenarios}\n")
     with pytest.raises(ParseError, match=re.escape(f"bad {where}")):
         load_sample(path)
+
+
+@pytest.fixture(scope="module")
+def sample_file_base(tmp_path_factory):
+    inst = generate(preset_config(9, seed=13, size_class="large"))
+    folder = tmp_path_factory.mktemp("sample-fuzz")
+    save_sample(sample(inst, 40, seed=17), folder / "sample.yaml")
+    text = (folder / "sample.yaml").read_text(encoding="utf-8")
+    # words and the separators between them, each one token
+    return re.split(r'(\s+|[{}:,"-])', text), folder / "bad.yaml"
+
+
+# junk for one token of a sample file
+_SAMPLE_JUNK = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", " ", "\n", "-", "-1", "0", "2", "1e400", "nan", "null",
+                     "true", "~", "[]", "{}", "*a", "&a", "!!int x",
+                     "2001-13-45", "0b12", "bits", "count", "mms-sample/2"]),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_sample_survives_one_mutated_token(sample_file_base, data):
+    tokens, bad = sample_file_base
+    tokens = list(tokens)
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_SAMPLE_JUNK)
+    bad.write_text("".join(tokens), encoding="utf-8")
+    try:
+        smp = load_sample(bad)
+    except ParseError:
+        return
+    assert smp.existence.shape[1] == smp.n_unique
