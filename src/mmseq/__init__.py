@@ -13,16 +13,16 @@ from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, EvalState,
                         partial_reevaluate, trace_csv)
 from .exact import (ENUMERATION_GUARD, LSHAPED_GUARD, DualSolution,
                     ExactParams, LShapedResult, OptimalityCut, SolveStats,
-                    WeightedScenarios, enumerate_optimal, full_information,
-                    lshaped_solve, recourse_lp, solve_dsp)
+                    enumerate_optimal, full_information, lshaped_solve,
+                    recourse_lp, solve_dsp)
 from .greedy import GreedyTrace, construct, ev_position_pattern
 from .instance import (GeneratorConfig, Instance, Station, Vehicle, generate,
                        instance_digest, load, preset_config, save, validate)
 from .lp import LinearProgram, LPResult, solve_lp
 from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                     SWAP, Move, apply_to_order)
-from .scenario import (Sample, Scenario, enumerate_all, load_sample,
-                       sample, save_sample, scenario_probability)
+from .scenario import (Sample, Scenario, WeightedScenarios, enumerate_all,
+                       load_sample, sample, save_sample, scenario_probability)
 from .tabu import (HistoryRecord, SAParams, SearchParams, history_csv,
                    is_tabu, search, simulated_annealing)
 from .timeunits import TICKS_PER_TU, format_ticks, to_ticks

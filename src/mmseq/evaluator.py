@@ -60,7 +60,7 @@ import numpy as np
 from .errors import StaleStateError
 from .instance import Instance
 from .moves import SWAP, Move, apply_to_order
-from .scenario import Sample, Scenario, existence
+from .scenario import Sample, Scenario, WeightedScenarios
 from .timeunits import TICKS_PER_TU, format_ticks
 
 REMOVAL = "removal"
@@ -95,6 +95,23 @@ def as_order(sequence) -> tuple[int, ...]:
     return tuple(sequence)
 
 
+def _check_vehicles(instance: Instance, n_vehicles: int, what: str) -> None:
+    if n_vehicles != instance.n_vehicles:
+        raise ValueError(f"{what} has {n_vehicles} vehicles, "
+                         f"the instance has {instance.n_vehicles}")
+
+
+def vehicle_times(instance: Instance, scenario: Scenario,
+                  transform: str = IMPROVED_NEUTRAL) -> list[list[int]]:
+    """Per-station processing time of every vehicle (by id) under the
+    scenario, in ticks: a failed vehicle takes 0 under standard_zero and
+    the cycle time (eta = 0) under improved_neutral."""
+    _check_vehicles(instance, len(scenario.exists), "the scenario")
+    fail_time = {STANDARD_ZERO: 0, IMPROVED_NEUTRAL: instance.cycle_time}[transform]
+    return [[p if e else fail_time for p, e in zip(row, scenario.exists)]
+            for row in instance.processing_rows()]
+
+
 def effective_times(instance: Instance, sequence, scenario: Scenario,
                     transform: str = IMPROVED_NEUTRAL) -> list[list[int]]:
     """Per-station processing-time vectors along the sequence after the
@@ -103,19 +120,11 @@ def effective_times(instance: Instance, sequence, scenario: Scenario,
     order = as_order(sequence)
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    exists = scenario.exists
-    c = instance.cycle_time
-    rows = instance.processing_rows()
-    out = []
-    for k in range(instance.n_stations):
-        row = rows[k]
-        if transform == REMOVAL:
-            out.append([row[v] for v in order if exists[v]])
-        elif transform == STANDARD_ZERO:
-            out.append([row[v] if exists[v] else 0 for v in order])
-        else:
-            out.append([row[v] if exists[v] else c for v in order])
-    return out
+    rows = vehicle_times(instance, scenario,
+                         IMPROVED_NEUTRAL if transform == REMOVAL else transform)
+    if transform == REMOVAL:
+        order = [v for v in order if scenario.exists[v]]
+    return [[row[v] for v in order] for row in rows]
 
 
 @dataclass
@@ -222,28 +231,27 @@ def evaluate(instance: Instance, sequence, scenario: Scenario | None = None,
 
 
 class Objective:
-    """Expected overload of orders over one weighted scenario set.
+    """Expected overload of orders over one weighted scenario set, read
+    as its vehicles x scenarios existence matrix and weight vector.
 
     A Sample weighs its scenarios by integer multiplicities, and a key
-    is the exact numerator sum_w n_w * Q(x, w) in ticks; any other
-    iterable of (scenario, weight) pairs gives the correctly rounded
-    float sum of weight * Q(x, w).  Lower keys are better, and tu()
+    is the exact numerator sum_w n_w * Q(x, w) in ticks; a
+    WeightedScenarios set gives the correctly rounded float sum of
+    weight * Q(x, w).  Lower keys are better, and tu()
     turns a key into the objective in TU.
     """
 
     def __init__(self, instance: Instance, scenarios, regenerative: bool = True):
         self.n = scenarios.n if isinstance(scenarios, Sample) else None
-        self.pairs = list(scenarios.unique if self.n is not None else scenarios)
-        self.weights = np.array([w for _, w in self.pairs],
-                                dtype=np.int64 if self.n is not None else float)
+        self.exists = scenarios.existence
+        self.weights = scenarios.weights
+        _check_vehicles(instance, self.exists.shape[0], "the scenario set")
         self.regenerative = regenerative
         c = instance.cycle_time
         self.cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
         # eta[v] = p[v] - c, vehicle v's eta at every station when it exists
         self.eta = np.array([veh.processing_times for veh in instance.vehicles],
                             dtype=np.int64) - c
-        self.exists = (scenarios.existence if self.n is not None
-                       else existence([s for s, _ in self.pairs], instance.n_vehicles))
 
     @functools.cached_property
     def scenario_eta(self) -> np.ndarray:
@@ -303,8 +311,11 @@ def evaluate_expected(instance: Instance, sequence, smp: Sample,
 
 def evaluate_weighted(instance: Instance, sequence, scenario_weights,
                       regenerative: bool = True) -> float:
-    """Probability-weighted expectation in TU over (scenario, weight)
-    pairs, e.g. the full-information objective from enumerate_all."""
+    """Probability-weighted expectation in TU over a WeightedScenarios
+    set or (scenario, weight) pairs, e.g. the full-information objective
+    from enumerate_all."""
+    if not isinstance(scenario_weights, WeightedScenarios):
+        scenario_weights = WeightedScenarios(tuple(scenario_weights))
     objective = Objective(instance, scenario_weights, regenerative)
     return objective.tu(objective.keys([as_order(sequence)])[0])
 

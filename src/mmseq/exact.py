@@ -45,30 +45,16 @@ import numpy as np
 
 from .errors import MMSeqError, SizeGuardError
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
-                        Sequence, as_order, evaluate_station, station_step)
+                        Sequence, as_order, effective_times, evaluate_station,
+                        station_step, vehicle_times)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
-from .scenario import Scenario, enumerate_all
+from .scenario import Scenario, WeightedScenarios, enumerate_all
 from .timeunits import TICKS_PER_TU
 
 ENUMERATION_GUARD = 9
 LSHAPED_GUARD = 12
-
-
-@dataclass(frozen=True)
-class WeightedScenarios:
-    """Scenario set with real-valued weights (e.g. true probabilities)."""
-    pairs: tuple[tuple[Scenario, float], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("need at least one scenario")
-        if any(w < 0 for _, w in self.pairs):
-            raise ValueError("weights must be nonnegative")
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def full_information(instance: Instance) -> WeightedScenarios:
@@ -225,18 +211,8 @@ def _as_xmat(instance: Instance, x):
     return mat, None
 
 
-def _effective_rows(instance: Instance, scenario: Scenario, variant: str):
-    """Per-station effective processing time of each vehicle, in ticks."""
-    c = instance.cycle_time
-    fail_time = {STANDARD_ZERO: 0, IMPROVED_NEUTRAL: c}[variant]
-    return [
-        [row[v] if scenario.exists[v] else fail_time
-         for v in range(instance.n_vehicles)]
-        for row in instance.processing_rows()]
-
-
 def _b_hat(instance: Instance, xmat, scenario: Scenario, variant: str):
-    rows = np.asarray(_effective_rows(instance, scenario, variant), dtype=float)
+    rows = np.asarray(vehicle_times(instance, scenario, variant), dtype=float)
     return rows @ xmat          # station x position, ticks
 
 
@@ -255,9 +231,8 @@ def recourse_lp(instance: Instance, x, scenario: Scenario,
     if variant == REMOVAL:
         if order is None:
             raise ValueError("the removal variant needs a binary assignment")
-        survivors = [v for v in order if scenario.exists[v]]
-        b_rows = [[row[v] for v in survivors] for row in instance.processing_rows()]
-        return _chain_lp(instance, b_rows, regenerative, beta_rows=False)
+        return _chain_lp(instance, effective_times(instance, order, scenario, REMOVAL),
+                         regenerative, beta_rows=False)
     if variant not in (STANDARD_ZERO, IMPROVED_NEUTRAL):
         raise ValueError(f"unknown recourse variant {variant!r}")
     b_hat = _b_hat(instance, xmat, scenario, variant)
@@ -419,7 +394,7 @@ def _cut_from_duals(instance: Instance, scenario: Scenario, sp_rows, wo_rows
     weight sp + wo at t times v's effective time, the offset the
     multiplied right-hand sides.  Every multiplier is 0 or 1 and every
     time an integer tick count, so the float sums are exact."""
-    eff = np.array(_effective_rows(instance, scenario, IMPROVED_NEUTRAL), dtype=float)
+    eff = np.array(vehicle_times(instance, scenario, IMPROVED_NEUTRAL), dtype=float)
     sp, wo = np.array(sp_rows), np.array(wo_rows)       # station x position
     lengths = np.array([st.length for st in instance.stations], dtype=float)
     coeffs = eff.T @ (sp + wo) / TICKS_PER_TU           # vehicle x position
@@ -497,25 +472,24 @@ class _Master:
     deduplication key.
     """
 
-    def __init__(self, instance: Instance, pairs, n):
+    def __init__(self, instance: Instance, weights, n):
         self.nv = instance.n_vehicles
         self.nx = self.nv * self.nv
-        self.pairs = pairs
-        self.nvar = self.nx + len(pairs)
+        n_scen = len(weights)
+        self.nvar = self.nx + n_scen
         total = n if n is not None else 1.0
-        self.scen_index = {s: j for j, (s, _) in enumerate(pairs)}
         self.n_base = 2 * self.nv
         self.n_cuts = 0
-        self.pool_cap = max(160, 2 * len(pairs))
-        self.pool_keep = max(100, len(pairs) + len(pairs) // 2)
+        self.pool_cap = max(160, 2 * n_scen)
+        self.pool_keep = max(100, n_scen + n_scen // 2)
         a = np.zeros((self.n_base, self.nvar))
         for v in range(self.nv):            # each vehicle used once
             a[v, v * self.nv:(v + 1) * self.nv] = 1.0
         for t in range(self.nv):            # each position filled once
             a[self.nv + t, t:self.nx:self.nv] = 1.0
         objective = np.zeros(self.nvar)
-        objective[self.nx:] = [w / total for _, w in pairs]
-        upper = np.concatenate([np.ones(self.nx), np.full(len(pairs), np.inf)])
+        objective[self.nx:] = [w / total for w in weights.tolist()]
+        upper = np.concatenate([np.ones(self.nx), np.full(n_scen, np.inf)])
         self.lp = Model(LinearProgram(objective, a, (EQ,) * self.n_base,
                                       np.ones(self.n_base),
                                       np.zeros(self.nvar), upper))
@@ -525,8 +499,8 @@ class _Master:
         self._key_set: set = set()
         self._solves = 0
 
-    def add_cut(self, cut: OptimalityCut) -> bool:
-        j = self.scen_index[cut.scenario]
+    def add_cut(self, j: int, cut: OptimalityCut) -> bool:
+        """Append the cut on scenario column j's theta, unless it is pooled."""
         key = (j, cut.coeffs, cut.offset)
         if key in self._key_set:
             return False
@@ -609,8 +583,8 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             f"branch-and-cut on |V|={nv} refused (limit {LSHAPED_GUARD})")
     t0 = time.perf_counter()
     objective = Objective(instance, smp)
-    pairs, n = objective.pairs, objective.n
-    master = _Master(instance, pairs, n)
+    n, exists = objective.n, objective.exists
+    master = _Master(instance, objective.weights, n)
     stats = SolveStats()
 
     if n is not None:
@@ -649,7 +623,7 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
 
     exhaust_limit = max(
         (u for u in range(_EXHAUST_CAP + 1)
-         if math.factorial(u) * len(pairs) <= _EXHAUST_BUDGET), default=0)
+         if math.factorial(u) * exists.shape[1] <= _EXHAUST_BUDGET), default=0)
 
     def close_exhaustively(fix) -> bool:
         """Search the completions the fixing matrix allows for one below
@@ -703,14 +677,14 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             if order is None:
                 break
             consider(order)
-            ticks = objective.ticks([order])[0].tolist()
+            violated = (res.x[master.nx:]
+                        < objective.ticks([order])[0] / TICKS_PER_TU - viol_tol)
             added = 0
-            for j, (scen, _) in enumerate(pairs):
-                if res.x[master.nx + j] < ticks[j] / TICKS_PER_TU - viol_tol:
-                    _, cut = solve_dsp(instance, order, scen)
-                    if master.add_cut(cut):
-                        stats.cut_pool.append(cut)
-                        added += 1
+            for j in np.flatnonzero(violated).tolist():
+                _, cut = solve_dsp(instance, order, Scenario.from_flags(exists[:, j]))
+                if master.add_cut(j, cut):
+                    stats.cut_pool.append(cut)
+                    added += 1
             if not added:
                 integral_done = True
                 break

@@ -5,12 +5,19 @@ final assembly stage (1) or dropped out upstream (0).  Failures are
 independent across vehicles, so a scenario's probability is the product
 prod_v f_v^(1 - e_v) * (1 - f_v)^e_v.
 
-Samples deduplicate repeated draws: the estimator only ever needs the
-distinct scenarios with their multiplicities n_w, and sums of integer
-tick values weighted by integer counts keep sample averages exact.
-`sample` draws all N x V variates at once and finds the distinct rows
-by packing each into big-endian 64-bit words and lexsorting the words,
-which orders the rows lexicographically, the order a Sample keeps.
+A scenario set is held as arrays, the form every consumer reads: a
+read-only vehicles x scenarios bool existence matrix and a weight per
+column.  A Sample deduplicates repeated draws: the estimator only ever
+needs the distinct scenarios with their multiplicities n_w, so its
+columns are distinct, in lexicographic order, and weighted by int64
+draw counts; sums of integer tick values weighted by integer counts keep
+sample averages exact.  WeightedScenarios keeps (Scenario, weight)
+pairs, e.g. true probabilities, and derives the same arrays once.
+Scenario objects are built only where one is needed, e.g. by
+Sample.unique for the sample file.  `sample` draws all N x V variates
+at once and finds the distinct rows by packing each into big-endian
+64-bit words and lexsorting the words, which orders the rows
+lexicographically.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ class Scenario:
         return cls((1,) * n)
 
     @classmethod
+    def from_flags(cls, flags) -> "Scenario":
+        """The scenario of one bool column of an existence matrix."""
+        return cls(tuple(np.asarray(flags, dtype=np.int8).tolist()))
+
+    @classmethod
     def from_bits(cls, bits: str) -> "Scenario":
         return cls(tuple(int(b) for b in bits))
 
@@ -67,56 +79,112 @@ def scenario_probability(instance: Instance, scenario: Scenario) -> float:
     return prob
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """N scenario draws, stored deduplicated in lexicographic order."""
+    """N scenario draws, deduplicated: existence[v, j] tells whether
+    vehicle v exists in the j-th distinct scenario, which was drawn
+    weights[j] times.  The columns are strictly increasing in
+    lexicographic order.  Both arrays are read-only copies."""
     n: int
     seed: int | None
-    unique: tuple[tuple[Scenario, int], ...]  # (scenario, multiplicity), sorted
+    existence: np.ndarray   # vehicles x unique scenarios, bool
+    weights: np.ndarray     # draw count of each column, int64
 
     def __post_init__(self):
-        if sum(c for _, c in self.unique) != self.n:
-            raise ValueError("multiplicities must sum to n")
-        keys = [s.exists for s, _ in self.unique]
-        if len(set(map(len, keys))) > 1:
-            raise ValueError("unique scenarios must all have one length")
-        # strictly increasing is sorted and distinct in one pass
-        if not all(a < b for a, b in zip(keys, keys[1:])):
-            raise ValueError("unique scenarios must be distinct and sorted")
-        if any(c <= 0 for _, c in self.unique):
+        flags = _read_only(np.array(self.existence, dtype=bool, order="C"))
+        object.__setattr__(self, "existence", flags)
+        if flags.ndim != 2 or flags.shape[1] == 0:
+            raise ValueError("existence must be a vehicles x scenarios matrix "
+                             "with at least one column")
+        counts = np.asarray(self.weights)
+        if counts.dtype.kind not in "iu":        # floats would be truncated
+            raise ValueError("multiplicities must be integers below 2**63")
+        counts = _read_only(counts.astype(np.int64))
+        object.__setattr__(self, "weights", counts)
+        if counts.shape != flags.shape[1:]:
+            raise ValueError("need one multiplicity per scenario")
+        if (counts <= 0).any():
             raise ValueError("multiplicities must be positive")
+        if sum(counts.tolist()) != self.n:          # exact, no int64 wrap
+            raise ValueError("multiplicities must sum to n")
+        # strictly increasing is sorted and distinct in one pass: each
+        # column differs from its left neighbour and has the 1 where they
+        # first differ
+        later = flags[:, 1:]
+        differs = later != flags[:, :-1]
+        ascending = differs.any(axis=0)
+        if differs.size:
+            ascending &= later[differs.argmax(axis=0), np.arange(later.shape[1])]
+        if not ascending.all():
+            raise ValueError("unique scenarios must be distinct and sorted")
+
+    def __eq__(self, other):
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return (self.n == other.n and self.seed == other.seed
+                and np.array_equal(self.existence, other.existence)
+                and np.array_equal(self.weights, other.weights))
 
     @classmethod
     def from_scenarios(cls, scenarios, seed: int | None = None) -> "Sample":
         counts: dict[tuple[int, ...], int] = {}
         for s in scenarios:
             counts[s.exists] = counts.get(s.exists, 0) + 1
-        unique = tuple((Scenario(k), c) for k, c in sorted(counts.items()))
-        return cls(n=sum(counts.values()), seed=seed, unique=unique)
+        if len(set(map(len, counts))) > 1:
+            raise ValueError("scenarios must all have one length")
+        keys = sorted(counts)
+        return cls(n=sum(counts.values()), seed=seed,
+                   existence=np.array(keys, dtype=bool).T,
+                   weights=[counts[k] for k in keys])
 
     @classmethod
     def degenerate(cls, instance: Instance) -> "Sample":
         """The single no-failure scenario; models the failure-blind problem."""
-        return cls.from_scenarios([Scenario.all_exist(instance.n_vehicles)])
+        return cls(n=1, seed=None, existence=np.ones((instance.n_vehicles, 1), dtype=bool),
+                   weights=[1])
 
     @property
     def n_unique(self) -> int:
-        return len(self.unique)
+        return self.existence.shape[1]
+
+    @property
+    def unique(self) -> tuple[tuple[Scenario, int], ...]:
+        """(scenario, multiplicity) pairs in column order, built on demand."""
+        return tuple((Scenario.from_flags(col), count)
+                     for col, count in zip(self.existence.T, self.weights.tolist()))
+
+
+@dataclass(frozen=True)
+class WeightedScenarios:
+    """Scenario set with real-valued weights (e.g. true probabilities)."""
+    pairs: tuple[tuple[Scenario, float], ...]
+
+    def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("need at least one scenario")
+        if len({len(s.exists) for s, _ in self.pairs}) > 1:
+            raise ValueError("scenarios must all have one length")
+        if any(w < 0 for _, w in self.pairs):
+            raise ValueError("weights must be nonnegative")
+
+    def __iter__(self):
+        return iter(self.pairs)
 
     @functools.cached_property
     def existence(self) -> np.ndarray:
-        """Read-only vehicles x unique scenarios existence flags; sample()
-        seeds them from its drawn rows."""
-        n_vehicles = len(self.unique[0][0].exists) if self.unique else 0
-        return existence([s for s, _ in self.unique], n_vehicles)
+        """Read-only vehicles x scenarios existence flags."""
+        flags = np.array([s.exists for s, _ in self.pairs], dtype=bool)
+        return _read_only(np.ascontiguousarray(flags.T))
 
-
-def existence(scenarios, n_vehicles: int) -> np.ndarray:
-    """Read-only vehicles x scenarios array of existence flags."""
-    flags = np.array([s.exists for s in scenarios], dtype=bool)
-    flags = np.ascontiguousarray(flags.reshape(len(scenarios), n_vehicles).T)
-    flags.flags.writeable = False
-    return flags
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only float weight of each column."""
+        return _read_only(np.array([w for _, w in self.pairs], dtype=float))
 
 
 def sample(instance: Instance, n: int, seed: int,
@@ -132,14 +200,7 @@ def sample(instance: Instance, n: int, seed: int,
     if forbid_low_risk_failures:
         exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
     rows, counts = _unique_rows(exists)
-    unique = tuple((Scenario(tuple(row)), count)
-                   for row, count in zip(rows.view(np.int8).tolist(), counts.tolist()))
-    smp = Sample(n=n, seed=seed, unique=unique)
-    # seed the cached flags from the rows at hand instead of the tuples
-    flags = np.ascontiguousarray(rows.T)
-    flags.flags.writeable = False
-    smp.__dict__["existence"] = flags
-    return smp
+    return Sample(n=n, seed=seed, existence=rows.T, weights=counts)
 
 
 def _unique_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +251,15 @@ def _integer(value, field: str, path) -> int:
     return value
 
 
+def _int64(value, field: str, path) -> int:
+    """A YAML integer that an int64 count array can hold."""
+    value = _integer(value, field, path)
+    if not -2**63 <= value < 2**63:
+        raise ParseError(f"{path}: bad {field} {value!r}, expected an integer "
+                         "below 2**63")
+    return value
+
+
 def load_sample(path) -> Sample:
     doc = read_mapping(path)
     for key in ("version", "seed", "n", "scenarios"):
@@ -201,23 +271,23 @@ def load_sample(path) -> Sample:
     if extra:
         warnings.warn(f"{path}: ignoring unknown fields {extra}", stacklevel=2)
     rows, seed = doc["scenarios"], doc["seed"]
-    if not isinstance(rows, list):
-        raise ParseError(f"{path}: bad scenarios {rows!r}, expected a list")
+    if not isinstance(rows, list) or not rows:
+        raise ParseError(f"{path}: bad scenarios {rows!r}, expected a non-empty list")
     if seed is not None:
         seed = _integer(seed, "seed", path)
-    unique = []
+    bits, counts = [], []
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "bits" not in row or "count" not in row:
             raise ParseError(f"{path}: scenarios[{i}]: need fields bits, count")
-        bits, count = str(row["bits"]), row["count"]
-        try:
-            scenario = Scenario.from_bits(bits)
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad scenarios[{i}].bits {bits!r}, "
-                             "expected a string of 0s and 1s") from exc
-        unique.append((scenario, _integer(count, f"scenarios[{i}].count", path)))
+        bits.append(str(row["bits"]))
+        if bits[-1].strip("01") or len(bits[-1]) != len(bits[0]):
+            raise ParseError(f"{path}: bad scenarios[{i}].bits {bits[-1]!r}, expected "
+                             f"a string of {len(bits[0])} 0s and 1s")
+        counts.append(_int64(row["count"], f"scenarios[{i}].count", path))
+    text = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
+    flags = text.reshape(len(bits), len(bits[0])) == ord("1")
     try:
-        return Sample(n=_integer(doc["n"], "n", path), seed=seed,
-                      unique=tuple(unique))
+        return Sample(n=_int64(doc["n"], "n", path), seed=seed,
+                      existence=flags.T, weights=counts)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

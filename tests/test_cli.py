@@ -1,7 +1,10 @@
 """Command-line harness: outputs, file formats, exit codes, determinism."""
 
+import contextlib
+import io
 import math
 import os
+import re
 
 import pytest
 import yaml
@@ -267,6 +270,45 @@ def test_solve_survives_one_mutated_field(fuzz_base, data):
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh)
     assert main(["solve", "--instance", path, "--method", "greedy"]) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def instance_token_base(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("instance-token-fuzz")
+    save(generate(preset_config(7, seed=100, size_class="small")),
+         str(folder / "inst.yaml"))
+    text = (folder / "inst.yaml").read_text(encoding="utf-8")
+    # words and the separators between them, each one token
+    return re.split(r'(\s+|[{}\[\]:,"-])', text), folder / "bad.yaml"
+
+
+# unquoted junk for one token of an instance file, which yaml.dump would
+# quote: scalars PyYAML builds into dates, tagged values, aliases, nulls
+# and overflowing floats, and words of the format
+_TOKEN_JUNK = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", " ", "\n", "-", "-1", "0", "1e400", "-1e400", "nan",
+                     ".inf", "null", "~", "true", "[]", "{}", "*a", "&a",
+                     "!!int x", "!!float x", "!!binary x", "2001-13-45",
+                     "2001-01-01", "0x10", "0o17", "1_000", "id", "length",
+                     "vehicles", "processing_times", "mms-instance/2"]),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+)
+
+
+@pytest.mark.filterwarnings("ignore:.*unknown fields")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_survives_one_mutated_token(instance_token_base, data):
+    tokens, bad = instance_token_base
+    tokens = list(tokens)
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_TOKEN_JUNK)
+    bad.write_text("".join(tokens), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["solve", "--instance", str(bad), "--method", "greedy"])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_solve_defaults_to_auto(instance_file, capsys):

@@ -10,11 +10,13 @@ from mmseq.errors import StaleStateError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, effective_times, evaluate,
                              evaluate_expected, evaluate_station,
-                             evaluate_weighted, partial_reevaluate, trace_csv)
+                             evaluate_weighted, partial_reevaluate, trace_csv,
+                             vehicle_times)
 from mmseq.instance import generate, preset_config
 from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                          SWAP, Move, apply_to_order)
-from mmseq.scenario import Sample, Scenario, enumerate_all, sample
+from mmseq.scenario import (Sample, Scenario, WeightedScenarios, enumerate_all,
+                            sample)
 from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
@@ -92,6 +94,24 @@ def test_effective_times_failed_vehicle_neutralized():
         assert rows0[k][1] == 0
     removed = effective_times(inst, tuple(range(5)), scen, REMOVAL)
     assert all(len(r) == 4 for r in removed)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_vehicle_times_follow_the_failure_rule(seed):
+    rng = make_rng(seed)
+    inst = random_instance(rng)
+    scen = random_scenario(rng, inst.n_vehicles)
+    order = random_order(rng, inst.n_vehicles)
+    for transform, fail_time in ((STANDARD_ZERO, 0), (IMPROVED_NEUTRAL, inst.cycle_time)):
+        rows = vehicle_times(inst, scen, transform)
+        assert rows == [[veh.processing_times[k] if e else fail_time
+                         for veh, e in zip(inst.vehicles, scen.exists)]
+                        for k in range(inst.n_stations)]
+        assert effective_times(inst, order, scen, transform) == [
+            [row[v] for v in order] for row in rows]
+    assert effective_times(inst, order, scen, REMOVAL) == [
+        [veh_row[v] for v in order if scen.exists[v]]
+        for veh_row in vehicle_times(inst, scen, IMPROVED_NEUTRAL)]
 
 
 def test_effective_times_rejects_unknown_transform():
@@ -186,7 +206,8 @@ def test_objective_ticks_match_the_reference_recursion(seed, regen):
     n = inst.n_vehicles
     orders = [random_order(rng, n) for _ in range(4)]
     scenarios = [random_scenario(rng, n) for _ in range(5)]
-    objective = Objective(inst, [(s, 1.0) for s in scenarios], regen)
+    objective = Objective(inst, WeightedScenarios(tuple((s, 1.0) for s in scenarios)),
+                          regen)
     assert objective.ticks(orders).tolist() == [
         [evaluate(inst, o, s, regenerative=regen).total_overload
          for s in scenarios] for o in orders]
@@ -220,12 +241,35 @@ def test_objective_keys_are_exact_numerators():
     orders = [tuple(range(8)), (7, 6, 5, 4, 3, 2, 1, 0)]
     smp = sample(inst, 40, seed=4)
     # multiplicities so large that the int64 dot product would wrap
-    huge = Sample(n=3 * 2**61, seed=None,
-                  unique=((smp.unique[0][0], 2**61), (smp.unique[1][0], 2**62)))
+    huge = Sample(n=3 * 2**61, seed=None, existence=smp.existence[:, :2],
+                  weights=[2**61, 2**62])
     for scenarios in (smp, huge):
         want = [sum(count * evaluate(inst, o, s).total_overload
                     for s, count in scenarios.unique) for o in orders]
         assert Objective(inst, scenarios).keys(orders) == want
+
+
+@pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7
+def test_scenario_sets_of_the_wrong_length_are_refused(n_vehicles):
+    inst = generate(preset_config(7, seed=23, size_class="small"))
+    other = generate(preset_config(n_vehicles, seed=23, size_class="small"))
+    order = tuple(range(7))
+    smp = sample(other, 50, seed=3)
+    counts = f"{n_vehicles} vehicles, the instance has 7"
+    with pytest.raises(ValueError, match=counts):
+        evaluate_expected(inst, order, smp)
+    with pytest.raises(ValueError, match=counts):
+        evaluate_weighted(inst, order, [(s, c / 50) for s, c in smp.unique])
+    with pytest.raises(ValueError, match=counts):
+        evaluate(inst, order, Scenario.all_exist(n_vehicles))
+    with pytest.raises(ValueError, match=counts):
+        effective_times(inst, order, Scenario.all_exist(n_vehicles), REMOVAL)
+
+
+def test_evaluate_weighted_needs_a_scenario():
+    inst = generate(preset_config(7, seed=23, size_class="small"))
+    with pytest.raises(ValueError, match="at least one"):
+        evaluate_weighted(inst, tuple(range(7)), [])
 
 
 def test_trace_csv_shape():
@@ -302,7 +346,8 @@ def test_stale_state_is_rejected():
 def test_trajectory_needs_integer_counts():
     inst = window_instance()
     with pytest.raises(ValueError, match="Sample"):
-        Objective(inst, [(Scenario.all_exist(5), 1.0)]).trajectory(range(5))
+        Objective(inst, WeightedScenarios(((Scenario.all_exist(5), 1.0),))
+                  ).trajectory(range(5))
 
 
 def chain_sample(rng, n: int) -> Sample:

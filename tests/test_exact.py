@@ -477,6 +477,20 @@ def test_time_limit_returns_valid_incumbent():
     assert evaluate_expected(inst, res.sequence, smp) == res.upper_bound
 
 
+@pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7
+def test_exact_solvers_refuse_scenario_sets_of_the_wrong_length(n_vehicles):
+    inst = generate(preset_config(7, seed=100, size_class="small"))
+    other = generate(preset_config(n_vehicles, seed=100, size_class="small"))
+    smp = sample(other, 30, seed=1)
+    counts = f"{n_vehicles} vehicles, the instance has 7"
+    with pytest.raises(ValueError, match=counts):
+        enumerate_optimal(inst, smp)
+    with pytest.raises(ValueError, match=counts):
+        lshaped_solve(inst, smp)
+    with pytest.raises(ValueError, match=counts):
+        solve_dsp(inst, tuple(range(7)), smp.unique[0][0])
+
+
 def test_lshaped_guard():
     inst = generate(preset_config(13, seed=0, size_class="small"))
     smp = sample(inst, 10, seed=1)
@@ -520,16 +534,16 @@ def test_warm_master_matches_a_cold_solve(seed):
     rng = make_rng(seed)
     nv = int(rng.integers(5, 7))
     inst = random_instance(rng, n=nv)
-    objective = Objective(inst, sample(inst, 30, seed=seed))
-    pairs = objective.pairs
-    master = _Master(inst, pairs, objective.n)
+    smp = sample(inst, 30, seed=seed)
+    pairs = smp.unique
+    master = _Master(inst, smp.weights, smp.n)
     master.pool_cap, master.pool_keep = 3, 2     # force evictions
     by_key, evictions = {}, 0
     for _ in range(20):
         for _ in range(int(rng.integers(1, 3))):
-            scen = pairs[int(rng.integers(len(pairs)))][0]
-            _, cut = solve_dsp(inst, random_order(rng, nv), scen)
-            if master.add_cut(cut):
+            j = int(rng.integers(len(pairs)))
+            _, cut = solve_dsp(inst, random_order(rng, nv), pairs[j][0])
+            if master.add_cut(j, cut):
                 by_key[master._keys[-1]] = cut
         fixings = {(int(rng.integers(nv)), int(rng.integers(nv))):
                    int(rng.integers(2)) for _ in range(int(rng.integers(4)))}
@@ -539,7 +553,7 @@ def test_warm_master_matches_a_cold_solve(seed):
         warm = master.solve(fix)
         cuts = [by_key[key] for key in master._keys]
         assert master.lp.n_rows == master.n_base + len(cuts)
-        lp = cold_master(inst, pairs, objective.n, cuts, fixings)
+        lp = cold_master(inst, pairs, smp.n, cuts, fixings)
         cold = solve_lp(lp)
         assert warm.status == cold.status
         if warm.status == OPTIMAL:

@@ -1,6 +1,7 @@
 """Scenario model, probabilities, sampling, and enumeration."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from mmseq.errors import ParseError, SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
-from mmseq.scenario import (Sample, Scenario, enumerate_all, existence,
-                            load_sample, sample, save_sample,
-                            scenario_probability)
+from mmseq.scenario import (Sample, Scenario, enumerate_all, load_sample,
+                            sample, save_sample, scenario_probability)
 from mmseq.seeding import make_rng
 
 
@@ -174,29 +174,53 @@ def test_sample_matches_np_unique_rows(case):
     assert [s.exists for s, _ in smp.unique] == [tuple(r) for r in rows.tolist()]
     assert [c for _, c in smp.unique] == counts.tolist()
     assert np.array_equal(smp.existence, rows.T.astype(bool))
+    assert smp.weights.tolist() == counts.tolist()
 
 
-def test_sample_existence_is_cached_and_read_only():
+def test_sample_arrays_are_read_only():
     inst = generate(preset_config(8, seed=4, size_class="small"))
     smp = sample(inst, 200, seed=3)
-    flags = smp.existence
-    assert flags is smp.existence
-    assert flags.T.astype(int).tolist() == [list(s.exists) for s, _ in smp.unique]
+    assert smp.existence.dtype == bool and smp.existence.flags.c_contiguous
+    assert smp.weights.dtype == np.int64
     with pytest.raises(ValueError):
-        flags[0, 0] = not flags[0, 0]
+        smp.existence[0, 0] = not smp.existence[0, 0]
+    with pytest.raises(ValueError):
+        smp.weights[0] += 1
+    # the sample holds copies: changing the arrays it was built from
+    # changes nothing
+    flags, counts = smp.existence.copy(), smp.weights.copy()
+    built = Sample(n=smp.n, seed=None, existence=flags, weights=counts)
+    flags[:] = False
+    counts[:] = 1
+    assert np.array_equal(built.existence, smp.existence)
+    assert np.array_equal(built.weights, smp.weights)
+
+
+# sha256 prefixes of the save_sample files of these draws: the bytes a
+# sample file holds are part of the format
+_SAMPLE_FILE_DIGESTS = {
+    ("small", 1): "00fd2d5cb47a1ba5", ("small", 7): "35ce3e702eaedf4f",
+    ("small", 103): "0a2d93a7a289b63b", ("medium", 1): "28dfcbd5219642b3",
+    ("medium", 7): "b2706f9d241213d6", ("medium", 103): "ad4e40c65a39c661",
+    ("large", 1): "a5a0f85cd7b9b1a2", ("large", 7): "621e3c747814481d",
+    ("large", 103): "82be9ea13909d651",
+}
 
 
 @pytest.mark.parametrize("size_class, n_vehicles", [
     ("small", 8), ("medium", 40), ("large", 200)])
 @pytest.mark.parametrize("seed", [1, 7, 103])
-def test_sample_seeds_existence_from_the_drawn_rows(size_class, n_vehicles, seed):
+def test_sample_seeds_existence_from_the_drawn_rows(tmp_path, size_class,
+                                                    n_vehicles, seed):
     inst = generate(preset_config(n_vehicles, seed, size_class))
     smp = sample(inst, 500, seed, forbid_low_risk_failures=seed == 7)
-    flags = smp.existence          # seeded by sample, not built from the tuples
-    assert flags.dtype == bool and flags.flags.c_contiguous
-    assert np.array_equal(flags, existence([s for s, _ in smp.unique], n_vehicles))
-    with pytest.raises(ValueError):
-        flags[0, 0] = not flags[0, 0]
+    assert smp.existence.shape == (n_vehicles, smp.n_unique)
+    assert smp.existence.T.astype(int).tolist() == [list(s.exists) for s, _ in smp.unique]
+    assert Sample.from_scenarios([s for s, c in smp.unique for _ in range(c)],
+                                 seed=seed) == smp
+    save_sample(smp, tmp_path / "sample.yaml")
+    digest = hashlib.sha256((tmp_path / "sample.yaml").read_bytes()).hexdigest()
+    assert digest[:16] == _SAMPLE_FILE_DIGESTS[size_class, seed]
 
 
 def test_from_scenarios_deduplicates():
@@ -215,17 +239,56 @@ def test_degenerate_sample():
 
 
 def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample(n=2, seed=None, unique=((Scenario((1, 1)), 1),))
+    def make(columns, counts, n=None):
+        flags = np.array(columns, dtype=bool).reshape(len(columns), 2).T
+        return Sample(n=sum(counts) if n is None else n, seed=None,
+                      existence=flags, weights=counts)
+
+    with pytest.raises(ValueError, match="sum to n"):
+        make([(1, 1)], [1], n=2)
     for keys in (((1, 1), (0, 1)),              # unsorted
                  ((0, 1), (0, 1)),              # duplicate
                  ((0, 1), (1, 1), (1, 0))):     # unsorted after a sorted pair
         with pytest.raises(ValueError, match="distinct and sorted"):
-            Sample(n=len(keys), seed=None,
-                   unique=tuple((Scenario(k), 1) for k in keys))
+            make(keys, [1] * len(keys))
+    with pytest.raises(ValueError, match="positive"):
+        make([(0, 1), (1, 1)], [2, 0])
+    with pytest.raises(ValueError, match="one multiplicity per scenario"):
+        make([(0, 1), (1, 1)], [2])
+    for counts in ([1.5, 1.0], [1, 2**64]):     # truncated, or beyond int64
+        with pytest.raises(ValueError, match="integers"):
+            make([(0, 1), (1, 1)], counts, n=3)
+    with pytest.raises(ValueError, match="at least one column"):
+        make([], [])
     with pytest.raises(ValueError, match="one length"):
-        Sample(n=2, seed=None,
-               unique=((Scenario((0, 1)), 1), (Scenario((0, 1, 1)), 1)))
+        Sample.from_scenarios([Scenario((0, 1)), Scenario((0, 1, 1))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda v: st.tuples(
+    st.just(v), st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), min_size=v, max_size=v),
+                       st.integers(-1, 3)), max_size=6),
+    st.sampled_from([0, 0, 0, 1, -1]))))
+def test_sample_accepts_exactly_what_the_tuple_rules_accept(case):
+    """A matrix with counts is a Sample iff, read as (scenario, count)
+    pairs, its scenarios are distinct and sorted, its counts positive
+    and their sum n."""
+    n_vehicles, columns, n_offset = case
+    keys = [tuple(col) for col, _ in columns]
+    counts = [count for _, count in columns]
+    n = sum(counts) + n_offset
+    valid = (bool(keys) and all(a < b for a, b in zip(keys, keys[1:]))
+             and all(c > 0 for c in counts) and n_offset == 0)
+    flags = np.array(keys, dtype=bool).reshape(len(keys), n_vehicles).T
+    try:
+        smp = Sample(n=n, seed=None, existence=flags, weights=counts)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert smp.unique == tuple((Scenario(k), c) for k, c in zip(keys, counts))
+    assert Sample.from_scenarios(
+        [s for s, c in smp.unique for _ in range(c)]) == smp
 
 
 def test_sample_file_round_trip(tmp_path):
@@ -261,6 +324,8 @@ def test_load_sample_rejects_malformed_yaml(tmp_path):
     ('"011"', "abc", "3", "scenarios[0].count"),
     ('"011"', "1.7", "3", "scenarios[0].count"),
     ('"011"', "3", "3.0", "n"),
+    ('"011"', str(2**63), str(2**63), "scenarios[0].count"),   # above int64
+    ('"011"', "3", str(10**30), "n"),
 ])
 def test_load_sample_rejects_malformed_rows(tmp_path, bits, count, n, where):
     path = tmp_path / "bad.yaml"
@@ -274,6 +339,7 @@ def test_load_sample_rejects_malformed_rows(tmp_path, bits, count, n, where):
     ("1", "17", "scenarios"),
     ("1", "abc", "scenarios"),
     ("1", "{a: 1}", "scenarios"),
+    ("1", "[]", "scenarios"),                  # no scenario at all
     ("abc", '[{bits: "011", count: 3}]', "seed"),
     ("1.5", '[{bits: "011", count: 3}]', "seed"),
 ])

@@ -153,6 +153,15 @@ def test_search_keeps_an_optimal_start():
     assert evaluate_expected(inst, best, smp) == opt_val
 
 
+@pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7
+def test_search_refuses_a_sample_of_the_wrong_length(n_vehicles):
+    inst, _, start = small_setup()
+    other = generate(preset_config(n_vehicles, seed=0, size_class="small"))
+    with pytest.raises(ValueError, match=f"{n_vehicles} vehicles, the instance has 7"):
+        search(inst, sample(other, 30, seed=1), start,
+               SearchParams(iters_one=5, iters_full=5, seed=0))
+
+
 def test_search_deterministic():
     inst, smp, start = small_setup()
     params = SearchParams(iters_one=60, iters_full=120, seed=11)
