@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import Objective, Sequence, as_order, evaluate, partial_reevaluate
+from .evaluator import (Objective, Sequence, _check_vehicles, as_order, evaluate,
+                        partial_reevaluate)
 from .instance import Instance
 from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS, SWAP,
                     Move, apply_to_order)
@@ -240,6 +241,8 @@ def search(instance: Instance, smp: Sample, start, params: SearchParams
            ) -> tuple[Sequence, list[HistoryRecord]]:
     """Two-phase tabu search; returns the best sequence found (never worse
     than the start under the sample objective) and the full history."""
+    # phase one runs without smp, so refuse a foreign sample before it
+    _check_vehicles(instance, smp.existence.shape[0], "the scenario set")
     start_order = as_order(start)
     rng = make_rng(params.seed)
     history: list[HistoryRecord] = []

@@ -1,11 +1,17 @@
 """Shared fixtures: a hand-checkable single-station window, the
-six-vehicle worked example, and deterministic random-instance factories."""
+six-vehicle worked example, deterministic random-instance factories,
+and a fresh interpreter for import-time checks."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mmseq
 from mmseq.instance import HIGH_RISK, LOW_RISK, Instance, Station, Vehicle
 from mmseq.scenario import Scenario
 from mmseq.seeding import make_rng
@@ -16,6 +22,16 @@ from mmseq.timeunits import TICKS_PER_TU
 WINDOW_B_TU = (9, 5, 5, 9, 9)
 WINDOW_C_TU = 7
 WINDOW_L_TU = 10
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of `code` run by a new interpreter that imports
+    this checkout's mmseq."""
+    src = os.path.dirname(os.path.dirname(mmseq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
 
 
 def window_ticks():

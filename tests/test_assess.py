@@ -1,13 +1,9 @@
 """Replication-based gap assessment and the integrated sizing loop."""
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
-import mmseq
 from mmseq.assess import (MRPReport, ReplicationRow, SAAOutcome,
                           enumeration_solver, lshaped_solver, mrp,
                           mrp_integrated_saa, t_quantile, tabu_solver)
@@ -18,6 +14,8 @@ from mmseq.greedy import construct
 from mmseq.instance import HIGH_RISK, Instance, Vehicle, generate, preset_config
 from mmseq.scenario import Sample, sample
 from mmseq.tabu import SearchParams
+
+from conftest import run_fresh
 
 
 # ------------------------------------------------------------- quantiles
@@ -37,14 +35,11 @@ def test_t_quantile_matches_scipy_stats():
 
 
 def test_import_does_not_load_scipy_stats():
-    code = ("import sys, mmseq, mmseq.cli; "
-            "print('scipy.stats' in sys.modules)")
-    src = os.path.dirname(os.path.dirname(mmseq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    # nor the scipy.optimize package that vendors HiGHS, nor what it pulls in
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    out = run_fresh("import sys, mmseq, mmseq.cli; "
+                    f"print([m for m in {heavy!r} if m in sys.modules])")
+    assert out.strip() == "[]"
 
 
 def test_t_quantile_validation():

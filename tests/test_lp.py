@@ -1,10 +1,18 @@
-"""Row-form LP layer: statuses, vertices, slacks."""
+"""Row-form LP layer: statuses, vertices, slacks, and how the HiGHS
+bindings are loaded."""
+
+import os
+import sys
+from importlib.machinery import ExtensionFileLoader
 
 import numpy as np
 import pytest
 
+import mmseq.lp
 from mmseq.lp import (EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
                       LPResult, solve_lp)
+
+from conftest import run_fresh
 
 INF = float("inf")
 
@@ -109,3 +117,54 @@ def test_shape_and_sense_validation():
     with pytest.raises(ValueError, match="unknown senses"):
         LinearProgram(objective=[1.0], a=[[1.0]], senses=("<",), rhs=[1.0],
                       lower=[0.0], upper=[1.0])
+
+
+# ----------------------------------------------------------- HiGHS loading
+
+def test_scipy_optimize_solves_after_mmseq_loads_highs():
+    # min x + 2y  s.t.  x + y >= 1.5: 1.5 relaxed, 2 with x, y integer
+    out = run_fresh(
+        "import sys, mmseq, scipy.optimize as so\n"
+        "lp = so.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1.5], method='highs')\n"
+        "mip = so.milp([1, 2], integrality=[1, 1], bounds=so.Bounds(0, 5),\n"
+        "              constraints=so.LinearConstraint([[1, 1]], lb=1.5))\n"
+        "print(lp.status, lp.fun, mip.status, mip.fun,\n"
+        "      sys.modules['scipy.optimize._highspy._core'] is mmseq.lp._highs)")
+    assert out.split() == ["0", "1.5", "0", "2.0", "True"]
+
+
+def test_mmseq_shares_highs_loaded_by_scipy_optimize():
+    out = run_fresh(
+        "import sys, scipy.optimize\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "from mmseq.lp import LE, LinearProgram, _highs, solve_lp\n"
+        "res = solve_lp(LinearProgram([1.0, 2.0], [[-1.0, -1.0]], (LE,), [-1.5],\n"
+        "                             [0.0, 0.0], [5.0, 5.0]))\n"
+        "print(_highs is core, res.status, res.objective)")
+    assert out.split() == ["True", OPTIMAL, "1.5"]
+
+
+def test_highs_loader_needs_the_extension(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, mmseq.lp._HIGHS_NAME)
+    (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        mmseq.lp._load_highs(str(tmp_path))
+    assert mmseq.lp._HIGHS_NAME not in sys.modules
+
+
+def test_highs_loader_unregisters_a_module_that_fails(monkeypatch):
+    def fail(self, module):
+        raise ImportError("init failed")
+
+    monkeypatch.delitem(sys.modules, mmseq.lp._HIGHS_NAME)
+    monkeypatch.setattr(ExtensionFileLoader, "exec_module", fail)
+    scipy_dir = os.path.dirname(os.path.dirname(
+        os.path.dirname(mmseq.lp._highs.__file__)))
+    with pytest.raises(ImportError, match="init failed"):
+        mmseq.lp._load_highs(scipy_dir)
+    assert mmseq.lp._HIGHS_NAME not in sys.modules
+
+
+def test_highs_loader_returns_the_registered_module(tmp_path):
+    # tmp_path holds no extension: only the sys.modules entry can answer
+    assert mmseq.lp._load_highs(str(tmp_path)) is mmseq.lp._highs

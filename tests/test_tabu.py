@@ -154,9 +154,15 @@ def test_search_keeps_an_optimal_start():
 
 
 @pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7
-def test_search_refuses_a_sample_of_the_wrong_length(n_vehicles):
+def test_search_refuses_a_sample_of_the_wrong_length(n_vehicles, monkeypatch):
     inst, _, start = small_setup()
     other = generate(preset_config(n_vehicles, seed=0, size_class="small"))
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase ran before the sample was checked")
+
+    # refused on entry, before phase one runs on a sample of its own
+    monkeypatch.setattr(mmseq.tabu, "_run_phase", no_phase)
     with pytest.raises(ValueError, match=f"{n_vehicles} vehicles, the instance has 7"):
         search(inst, sample(other, 30, seed=1), start,
                SearchParams(iters_one=5, iters_full=5, seed=0))
