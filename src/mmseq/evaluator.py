@@ -27,15 +27,16 @@ the equivalence tests.
 
 The recursion is written twice.  evaluate_station runs it for one
 scenario and station in pure Python and keeps the full trace: it is the
-reference in the tests, and it feeds the cut duals and trace_csv.
+reference in the tests, and it feeds evaluate and trace_csv.
 station_step is one position of it, elementwise over any broadcast
 shape of int64 arrays, and every batched caller runs on it:
 Objective.ticks over orders x stations x scenarios for full
 evaluations, Trajectory._scan over scenarios x stations for
 local-search probes (partial_reevaluate rescans only the window a move
 disturbs), greedy.construct over candidates x stations on the nominal
-scenario, and the exact search (exact._search) over the children of a
-node x scenarios x stations.
+scenario, the exact search (exact._search) over the children of a
+node x scenarios x stations, and the cut reader (exact._cuts) over
+scenarios x stations, on float times at a fractional anchor.
 
 The hot callers keep numpy's inner loop long: a per-station constant
 such as cap broadcasts along the contiguous axis or comes at full

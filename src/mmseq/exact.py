@@ -7,6 +7,15 @@ by complementary slackness, and a branch-and-bound master LP that adds
 cuts lazily at integer-feasible nodes, kept as one HiGHS model that each
 node re-solves from the previous basis.
 
+One reader, _cuts, turns a batch of station chains into duals and cuts.
+It runs the chains forward on evaluator.station_step, keeping z + eta at
+each position, walks back over batch x stations to set the 0/1
+multipliers, and sums every cut's coefficients in one product, in
+integer ticks.  solve_dsp calls it on a batch of one at any anchor,
+fractional ones included.  The branch-and-cut calls it once per
+integral node on every violated scenario, and checks each cut tight at
+its anchor by exact integer equality.
+
 Candidate orders are valued by evaluator.Objective: scenario costs are
 exact integer tick counts, so for sampled (integer-multiplicity)
 scenario sets the master can compare candidate values exactly and prune
@@ -45,8 +54,8 @@ import numpy as np
 
 from .errors import MMSeqError, SizeGuardError
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
-                        Sequence, as_order, effective_times, evaluate_station,
-                        station_step, vehicle_times)
+                        Sequence, as_order, effective_times, station_step,
+                        vehicle_times)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
@@ -211,11 +220,6 @@ def _as_xmat(instance: Instance, x):
     return mat, None
 
 
-def _b_hat(instance: Instance, xmat, scenario: Scenario, variant: str):
-    rows = np.asarray(vehicle_times(instance, scenario, variant), dtype=float)
-    return rows @ xmat          # station x position, ticks
-
-
 def recourse_lp(instance: Instance, x, scenario: Scenario,
                 variant: str = IMPROVED_NEUTRAL, regenerative: bool = True
                 ) -> tuple[float, LinearProgram]:
@@ -235,78 +239,51 @@ def recourse_lp(instance: Instance, x, scenario: Scenario,
                          regenerative, beta_rows=False)
     if variant not in (STANDARD_ZERO, IMPROVED_NEUTRAL):
         raise ValueError(f"unknown recourse variant {variant!r}")
-    b_hat = _b_hat(instance, xmat, scenario, variant)
-    return _chain_lp(instance, b_hat.tolist(), regenerative,
-                     beta_rows=(variant == STANDARD_ZERO))
+    b = np.array(vehicle_times(instance, scenario, variant), dtype=float) @ xmat
+    return _chain_lp(instance, b, regenerative, beta_rows=(variant == STANDARD_ZERO))
 
 
 def _chain_lp(instance: Instance, b_rows, regenerative: bool,
               beta_rows: bool) -> tuple[float, LinearProgram]:
-    """min sum(w) over the station chains with processing times fixed."""
-    K = instance.n_stations
-    T = len(b_rows[0]) if b_rows else 0
+    """min sum(w) over the station chains with processing times b_rows
+    (station x position, ticks) fixed.
+
+    Every station has the same rows, so one block over its columns
+    z_1..z_{T+1}, w_1..w_T gives them all: per position a progression
+    row z_t + b_t - w_t - z_{t+1} <= c and an overload row
+    z_t + b_t - w_t <= l, the last progression row only when
+    regenerative (z_{T+1} pinned to 0, otherwise free), then for the
+    zero-time variant the carry rows z_t - z_{t+1} <= beta * b_t and,
+    when regenerative, the end carry z_T - w_T <= beta * b_T.  z_1 is
+    pinned to 0 too, so both border columns are dropped.
+    """
+    b = np.asarray(b_rows, dtype=float)
+    K, T = b.shape
     if T == 0:
         lp = LinearProgram(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0),
                            np.zeros(0), np.zeros(0))
         return 0.0, lp
     c = instance.cycle_time
-    nz = T - 1                       # z_2..z_T per station
-    per_station = nz + T             # plus w_1..w_T
-    nvar = K * per_station
-
-    def zvar(k, t):                  # t in 2..T
-        return k * per_station + (t - 2)
-
-    def wvar(k, t):                  # t in 1..T
-        return k * per_station + nz + (t - 1)
-
-    rows, senses, rhs = [], [], []
-
-    def add(coef: dict, b: float):
-        row = np.zeros(nvar)
-        for j, val in coef.items():
-            row[j] += val
-        rows.append(row)
-        senses.append(LE)
-        rhs.append(b)
-
-    for k in range(K):
-        l_k = instance.stations[k].length
-        b = b_rows[k]
-        for t in range(1, T + 1):
-            # progression: z_t + b_t - w_t - z_{t+1} <= c
-            coef = {wvar(k, t): -1.0}
-            if t >= 2:
-                coef[zvar(k, t)] = coef.get(zvar(k, t), 0.0) + 1.0
-            if t <= T - 1:
-                coef[zvar(k, t + 1)] = coef.get(zvar(k, t + 1), 0.0) - 1.0
-                add(coef, c - b[t - 1])
-            elif regenerative:       # z_{T+1} pinned to 0
-                add(coef, c - b[t - 1])
-            # overload: z_t + b_t - w_t <= l_k
-            coef = {wvar(k, t): -1.0}
-            if t >= 2:
-                coef[zvar(k, t)] = 1.0
-            add(coef, l_k - b[t - 1])
-        if beta_rows:
-            beta = instance.beta(k)
-            for t in range(1, T):    # carry: z_t - z_{t+1} <= beta * b_t
-                coef = {zvar(k, t + 1): -1.0}
-                if t >= 2:
-                    coef[zvar(k, t)] = coef.get(zvar(k, t), 0.0) + 1.0
-                add(coef, beta * b[t - 1])
-            if regenerative:         # end carry: z_T - w_T <= beta * b_T
-                coef = {wvar(k, T): -1.0}
-                if T >= 2:
-                    coef[zvar(k, T)] = 1.0
-                add(coef, beta * b[T - 1])
-
-    objective = np.zeros(nvar)
-    for k in range(K):
-        for t in range(1, T + 1):
-            objective[wvar(k, t)] = 1.0
-    lp = LinearProgram(objective, np.array(rows), tuple(senses),
-                       np.array(rhs), np.zeros(nvar), np.full(nvar, np.inf))
+    lengths = np.array([st.length for st in instance.stations], dtype=float)
+    z, z_next, w = np.eye(T, T + 1), np.eye(T, T + 1, k=1), np.eye(T)
+    progression = np.hstack([z - z_next, -w])
+    overload = np.hstack([z, -w])
+    block = np.stack([progression, overload], axis=1).reshape(2 * T, -1)
+    rhs = np.stack([c - b, lengths[:, None] - b], axis=2).reshape(K, 2 * T)
+    if not regenerative:
+        block = np.delete(block, 2 * T - 2, axis=0)
+        rhs = np.delete(rhs, 2 * T - 2, axis=1)
+    if beta_rows:
+        n_carry = T if regenerative else T - 1
+        carry = np.hstack([z - z_next, np.zeros_like(w)])
+        block = np.vstack([block, carry[:T - 1], overload[T - 1:n_carry]])
+        beta = np.array([instance.beta(k) for k in range(K)])
+        rhs = np.hstack([rhs, beta[:, None] * b[:, :n_carry]])
+    block = np.delete(block, [0, T], axis=1)       # z_1 and z_{T+1}
+    nvar = K * block.shape[1]
+    lp = LinearProgram(np.tile(np.repeat([0.0, 1.0], [T - 1, T]), K),
+                       np.kron(np.eye(K), block), (LE,) * rhs.size,
+                       rhs.ravel(), np.zeros(nvar), np.full(nvar, np.inf))
     res = solve_lp(lp)
     if res.status != OPTIMAL:
         raise MMSeqError(f"recourse LP came back {res.status}")
@@ -325,14 +302,10 @@ class DualSolution:
 
     def max_violation(self) -> float:
         """Largest violation of the dual feasible region's constraints."""
-        worst = 0.0
-        for sp, wo in zip(self.pi_sp, self.pi_wo):
-            T = len(sp)
-            for t in range(T):
-                worst = max(worst, -sp[t], -wo[t], sp[t] + wo[t] - 1.0)
-            for t in range(T - 1):
-                worst = max(worst, sp[t] - sp[t + 1] - wo[t + 1])
-        return worst
+        sp = np.array(self.pi_sp, dtype=float, ndmin=2)
+        wo = np.array(self.pi_wo, dtype=float, ndmin=2)
+        rows = (-sp, -wo, sp + wo - 1.0, sp[:, :-1] - sp[:, 1:] - wo[:, 1:])
+        return max(0.0, *(float(r.max(initial=0.0)) for r in rows))
 
     def is_feasible(self, tol: float = 1e-9) -> bool:
         return self.max_violation() <= tol
@@ -355,53 +328,57 @@ class OptimalityCut:
         return total
 
 
-def _station_duals(b, c: int, length: int, regenerative: bool
-                   ) -> tuple[list, list, float]:
-    """One station's recourse-dual multipliers by complementary slackness
-    on its primal trace, plus the station's overload.
+def _cuts(eff, b, c: int, cap, regenerative: bool):
+    """Recourse duals and optimality cuts of a batch of station chains,
+    read off the station recursion by complementary slackness.
 
-    Walking backwards, m = sp_{t+1} + wo_{t+1} caps sp_t.  A position
-    that reaches the border (s >= l) binds its overload row and opens
-    the cap again; one that idles (s < c) leaves its progression row
-    slack and closes it.  Ties take the carrying branch, the
-    maximum-support choice among the alternate optima.
+    eff is vehicle x batch x station (effective times, ticks), b
+    position x batch x station (the times the chains run on; float at a
+    fractional anchor) and cap the (K,) l - c.  The forward pass keeps
+    z + eta at each position.  Walking backwards, m = sp_{t+1} + wo_{t+1}
+    caps sp_t: a position with z + eta >= cap (s >= l) binds its
+    overload row and opens the cap again, one with z + eta < 0 (s < c)
+    leaves its progression row slack and closes it.  Ties take the
+    carrying branch, the maximum-support choice among the alternate
+    optima.
+
+    Returns (sp, wo, coeffs, offsets, overload): the 0/1 multipliers
+    (position x batch x station), and per chain the cut's
+    vehicle x position coefficients and its offset, in integer ticks,
+    and the chain's overload, so the cut at the anchor x is
+    coeffs . x + offset = overload.
     """
-    ev = evaluate_station(b, c, length, regenerative)
-    T = len(b)
-    sp = [0.0] * T
-    wo = [0.0] * T
-    s = ev.z[-1] + b[-1]
+    eta = b - c
+    T = len(eta)
+    z = np.zeros((T + 1,) + eta.shape[1:], dtype=eta.dtype)
+    overload = 0
+    for t in range(T):
+        _, _, w = station_step(z[t], eta[t], cap, regenerative and t == T - 1,
+                               out=(None, z[t + 1], None))
+        overload = overload + w.sum(axis=-1)
+    reach = z[:T] + eta
+    over, carry = reach >= cap, reach >= 0
+    sp = np.zeros(eta.shape, dtype=np.int64)
+    wo = np.zeros_like(sp)
     if regenerative:
-        if s >= c:
-            sp[-1] = 1.0
-    elif s >= length:      # virtual free z_{T+1} kills sp_T
-        wo[-1] = 1.0
+        sp[-1] = carry[-1]
+    else:              # the virtual free z_{T+1} kills sp_T
+        wo[-1] = over[-1]
     m = sp[-1] + wo[-1]
     for t in range(T - 2, -1, -1):
-        s = ev.z[t] + b[t]
-        if s >= length:
-            sp[t], wo[t], m = m, 1.0 - m, 1.0
-        elif s >= c:
-            sp[t] = m
-        else:
-            m = 0.0
-    return sp, wo, ev.total_overload
+        sp[t] = np.where(over[t] | carry[t], m, 0)
+        wo[t] = np.where(over[t], 1 - m, 0)
+        m = np.where(over[t], 1, sp[t])
+    coeffs = np.einsum("vbk,tbk->bvt", eff, sp + wo)
+    offsets = -(c * sp + (cap + c) * wo).sum(axis=(0, 2))
+    return sp, wo, coeffs, offsets, overload
 
 
-def _cut_from_duals(instance: Instance, scenario: Scenario, sp_rows, wo_rows
-                    ) -> OptimalityCut:
-    """The cut of the duals: coefficient (v, t) sums the station rows'
-    weight sp + wo at t times v's effective time, the offset the
-    multiplied right-hand sides.  Every multiplier is 0 or 1 and every
-    time an integer tick count, so the float sums are exact."""
-    eff = np.array(vehicle_times(instance, scenario, IMPROVED_NEUTRAL), dtype=float)
-    sp, wo = np.array(sp_rows), np.array(wo_rows)       # station x position
-    lengths = np.array([st.length for st in instance.stations], dtype=float)
-    coeffs = eff.T @ (sp + wo) / TICKS_PER_TU           # vehicle x position
-    offset = -(instance.cycle_time * sp.sum() + lengths @ wo.sum(axis=1))
+def _as_cut(scenario: Scenario, coeffs, offset) -> OptimalityCut:
+    """The cut of one chain's integer-tick coefficients and offset."""
     return OptimalityCut(scenario=scenario,
-                         coeffs=tuple(map(tuple, coeffs.tolist())),
-                         offset=float(offset) / TICKS_PER_TU)
+                         coeffs=tuple(map(tuple, (coeffs / TICKS_PER_TU).tolist())),
+                         offset=int(offset) / TICKS_PER_TU)
 
 
 def solve_dsp(instance: Instance, x, scenario: Scenario,
@@ -413,20 +390,18 @@ def solve_dsp(instance: Instance, x, scenario: Scenario,
     duality; a cut that is not raises MMSeqError."""
     xmat, _ = _as_xmat(instance, x)
     c = instance.cycle_time
-    b_hat = _b_hat(instance, xmat, scenario, IMPROVED_NEUTRAL).tolist()
-    sp_rows, wo_rows, total = [], [], 0.0
-    for b, st in zip(b_hat, instance.stations):
-        sp, wo, overload = _station_duals(b, c, st.length, regenerative)
-        sp_rows.append(sp)
-        wo_rows.append(wo)
-        total += overload
-    cut = _cut_from_duals(instance, scenario, sp_rows, wo_rows)
-    target = total / TICKS_PER_TU
+    eff = np.array(vehicle_times(instance, scenario, IMPROVED_NEUTRAL), dtype=np.int64)
+    b = eff.astype(float) @ xmat                         # station x position
+    cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
+    sp, wo, coeffs, offsets, overload = _cuts(eff.T[:, None], b.T[:, None], c, cap,
+                                              regenerative)
+    cut = _as_cut(scenario, coeffs[0], offsets[0])
+    target = float(overload[0]) / TICKS_PER_TU
     if abs(cut.value_at(xmat) - target) > 1e-8 * max(1.0, abs(target)):
         raise MMSeqError(f"optimality cut is not tight at its anchor "
                          f"({cut.value_at(xmat)} vs {target})")
-    dual = DualSolution(pi_sp=tuple(tuple(r) for r in sp_rows),
-                        pi_wo=tuple(tuple(r) for r in wo_rows))
+    dual = DualSolution(pi_sp=tuple(map(tuple, sp[:, 0].T.astype(float).tolist())),
+                        pi_wo=tuple(map(tuple, wo[:, 0].T.astype(float).tolist())))
     return dual, cut
 
 
@@ -584,6 +559,7 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     t0 = time.perf_counter()
     objective = Objective(instance, smp)
     n, exists = objective.n, objective.exists
+    c = instance.cycle_time
     master = _Master(instance, objective.weights, n)
     stats = SolveStats()
 
@@ -609,9 +585,8 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     best_order = None
     best_tu = math.inf
 
-    def consider(order):
+    def consider(order, key):
         nonlocal best_key, best_order, best_tu
-        key = objective.keys([order])[0]
         if best_key is None or key < best_key:
             best_key = key
             best_order = order
@@ -619,7 +594,8 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
 
     # warm incumbent from the greedy constructor: pruning starts working
     # at the root for the price of one evaluation
-    consider(as_order(construct(instance)[0]))
+    greedy = as_order(construct(instance)[0])
+    consider(greedy, objective.keys([greedy])[0])
 
     exhaust_limit = max(
         (u for u in range(_EXHAUST_CAP + 1)
@@ -633,7 +609,7 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             return False
         found = _search(objective, fix, best_key)
         if found is not None:
-            consider(found[0])
+            consider(*found)
         stats.leaf_exhausts += 1
         return True
 
@@ -676,12 +652,20 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
             order = _integral_order(x, frac)
             if order is None:
                 break
-            consider(order)
-            violated = (res.x[master.nx:]
-                        < objective.ticks([order])[0] / TICKS_PER_TU - viol_tol)
+            ticks = objective.ticks([order])
+            consider(order, objective._weigh(ticks)[0])
+            cols = np.flatnonzero(res.x[master.nx:] < ticks[0] / TICKS_PER_TU - viol_tol)
+            # every violated scenario's cut in one pass over the chains,
+            # each checked tight at the anchor exactly, in ticks
+            pos = np.array(order)
+            eff = objective.scenario_eta[:, cols] + c
+            _, _, coeffs, offsets, overload = _cuts(eff, eff[pos], c, objective.cap,
+                                                    objective.regenerative)
+            if (coeffs[:, pos, np.arange(nv)].sum(axis=1) + offsets != overload).any():
+                raise MMSeqError("optimality cut is not tight at its anchor")
             added = 0
-            for j in np.flatnonzero(violated).tolist():
-                _, cut = solve_dsp(instance, order, Scenario.from_flags(exists[:, j]))
+            for j, g, offset in zip(cols.tolist(), coeffs, offsets):
+                cut = _as_cut(Scenario.from_flags(exists[:, j]), g, offset)
                 if master.add_cut(j, cut):
                     stats.cut_pool.append(cut)
                     added += 1

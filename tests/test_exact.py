@@ -13,9 +13,10 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, evaluate, evaluate_expected,
                              evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
-                         _branch_pick, _integral_order, _Master, _search,
-                         _suffix_bound, enumerate_optimal, full_information,
-                         lshaped_solve, recourse_lp, solve_dsp)
+                         _branch_pick, _cuts, _integral_order, _Master,
+                         _search, _suffix_bound, enumerate_optimal,
+                         full_information, lshaped_solve, recourse_lp,
+                         solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
 from mmseq.lp import EQ, LE, OPTIMAL, LinearProgram, solve_lp
@@ -106,6 +107,42 @@ def test_unknown_variant_rejected():
     win = window_instance()
     with pytest.raises(ValueError, match="unknown recourse variant"):
         recourse_lp(win, Sequence((0, 1, 2, 3, 4)), all_exist(5), "other")
+
+
+def test_recourse_rows_at_a_fractional_anchor():
+    # one station, two positions, vehicle 1 failed, anchor a 3:1 mix of
+    # the two orders; columns z_2, w_1, w_2, rows and right-hand sides
+    # in ticks, by hand
+    inst = Instance.of(7, (10,), [Vehicle.of(0, False, (9,)),
+                                  Vehicle.of(1, False, (4,))])
+    x = np.array([[0.75, 0.25], [0.25, 0.75]])
+    scen = Scenario((1, 0))
+    c, l = 70000, 100000             # 7 and 10 TU
+    prog1, over1, prog2, over2 = [-1, -1, 0], [0, -1, 0], [1, 0, -1], [1, 0, -1]
+    carry1, end_carry = [-1, 0, 0], [1, 0, -1]
+    beta = inst.beta(0)              # (10 - 7) / 4
+    assert beta == 0.75
+    cases = {
+        # b = (8.5, 7.5) TU: the failed vehicle takes the cycle time
+        (IMPROVED_NEUTRAL, True): ([prog1, over1, prog2, over2],
+                                   [c - 85000, l - 85000, c - 75000, l - 75000]),
+        (IMPROVED_NEUTRAL, False): ([prog1, over1, over2],
+                                    [c - 85000, l - 85000, l - 75000]),
+        # b = (6.75, 2.25) TU: the failed vehicle takes no time
+        (STANDARD_ZERO, True): ([prog1, over1, prog2, over2, carry1, end_carry],
+                                [c - 67500, l - 67500, c - 22500, l - 22500,
+                                 beta * 67500, beta * 22500]),
+        (STANDARD_ZERO, False): ([prog1, over1, over2, carry1],
+                                 [c - 67500, l - 67500, l - 22500, beta * 67500]),
+    }
+    for (variant, regen), (a, rhs) in cases.items():
+        val, lp = recourse_lp(inst, x, scen, variant, regen)
+        assert lp.a.shape == (len(a), 3)
+        assert lp.a.tolist() == a
+        assert lp.rhs.tolist() == rhs
+        assert lp.senses == (LE,) * len(a)
+        assert lp.objective.tolist() == [0, 1, 1]
+        assert math.isfinite(val) and val >= 0
 
 
 # ------------------------------------------------------------- dual cuts
@@ -225,6 +262,67 @@ def test_cut_product_matches_the_entry_loop(seed, regen):
     scen = random_scenario(rng, n)
     dual, cut = solve_dsp(inst, random_order(rng, n), scen, regenerative=regen)
     assert (cut.coeffs, cut.offset) == cut_loop(inst, scen, dual)
+
+
+def station_duals_loop(b, c, length, regenerative):
+    """One station's recourse duals by complementary slackness on the
+    reference trace, position by position: walking backwards,
+    m = sp_{t+1} + wo_{t+1} caps sp_t; s >= l binds the overload row and
+    opens the cap, s < c closes it, and ties carry."""
+    ev = evaluate_station(b, c, length, regenerative)
+    T = len(b)
+    sp, wo = [0.0] * T, [0.0] * T
+    s = ev.z[-1] + b[-1]
+    if regenerative:
+        if s >= c:
+            sp[-1] = 1.0
+    elif s >= length:
+        wo[-1] = 1.0
+    m = sp[-1] + wo[-1]
+    for t in range(T - 2, -1, -1):
+        s = ev.z[t] + b[t]
+        if s >= length:
+            sp[t], wo[t], m = m, 1.0 - m, 1.0
+        elif s >= c:
+            sp[t] = m
+        else:
+            m = 0.0
+    return sp, wo
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans())
+def test_batched_cuts_match_solve_dsp(seed, regen, flat):
+    # one reader call over every scenario column, as the branch-and-cut
+    # makes it, against the per-station loop and solve_dsp scenario by
+    # scenario; the l == c twin ties at every position
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 9))
+    inst = random_instance(rng, n=n, n_stations=int(rng.integers(1, 4)))
+    if flat:
+        inst = flat_stations(inst)
+    c = inst.cycle_time
+    order = random_order(rng, n)
+    scens = [random_scenario(rng, n) for _ in range(int(rng.integers(1, 7)))]
+    objective = Objective(inst, Sample.from_scenarios(scens), regen)
+    eff = objective.scenario_eta + c
+    sp, wo, coeffs, offsets, overload = _cuts(eff, eff[list(order)], c,
+                                              objective.cap, regen)
+    for j in range(eff.shape[1]):
+        scen = Scenario.from_flags(objective.exists[:, j])
+        ref = evaluate(inst, order, scen, regenerative=regen)
+        for k, st_k in enumerate(inst.stations):
+            b = [e + c for e in ref.eta[k]]
+            assert (sp[:, j, k].tolist(), wo[:, j, k].tolist()) == \
+                station_duals_loop(b, c, st_k.length, regen)
+        dual, cut = solve_dsp(inst, order, scen, regenerative=regen)
+        assert sp[:, j].T.tolist() == [list(r) for r in dual.pi_sp]
+        assert wo[:, j].T.tolist() == [list(r) for r in dual.pi_wo]
+        assert tuple(map(tuple, (coeffs[j] / TICKS_PER_TU).tolist())) == cut.coeffs
+        assert int(offsets[j]) / TICKS_PER_TU == cut.offset
+        # tight at the anchor in ticks, at the reference's overload
+        assert (coeffs[j, list(order), range(n)].sum() + offsets[j]
+                == overload[j] == ref.total_overload)
 
 
 def test_dual_violation_measure():
@@ -640,6 +738,18 @@ def test_integral_order_matches_the_column_loop(seed):
              1.0 - 1e-6, 1.0 - 1e-6 - 1e-9, 1.0 + 1e-6, -1e-6, -1e-6 - 1e-9])
     assert _integral_order(x, np.minimum(x, 1.0 - x)) == \
         integral_order_loop(x.ravel().tolist(), nv)
+
+
+def test_exact_small_branch_and_cut_trace_is_pinned():
+    # the bench's exact-small solve; any change to the search, the cuts
+    # or the master that alters the tree shows here
+    inst = generate(preset_config(8, 103, "small"))
+    res = lshaped_solve(inst, sample(inst, 100, 200))
+    stats = res.stats
+    assert res.sequence.order == (0, 6, 1, 5, 7, 3, 2, 4)
+    assert f"{res.lower_bound:.6f}" == f"{res.upper_bound:.6f}" == "13.772062"
+    assert (stats.status, stats.nodes, stats.cuts_added, stats.lp_solves,
+            stats.leaf_exhausts) == ("optimal", 663, 112, 380, 308)
 
 
 def test_lshaped_deterministic():
