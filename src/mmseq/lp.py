@@ -9,52 +9,19 @@ solves, and each re-solve starts from the last optimal basis instead of
 from scratch.  `solve_lp` is one cold solve of a `LinearProgram`.
 
 The bindings are scipy's `scipy.optimize._highspy._core` extension,
-loaded straight from its file: importing it by name would first run
-the `scipy.optimize` package, with `scipy.linalg` and `scipy.sparse`,
-which costs every process about 0.2 s and 20 MB for nothing.  The
-module is registered under its own name, so a later `scipy.optimize`
-import shares it instead of initialising it a second time.
+loaded by `_scipy.load` without running the `scipy.optimize` package.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
+from . import _scipy
 from .errors import MMSeqError
 
-_HIGHS_NAME = "scipy.optimize._highspy._core"
-
-
-def _load_highs(scipy_dir: str):
-    """The `_core` extension under scipy_dir, registered in sys.modules
-    under its own name so that `scipy.optimize` reuses it; an entry
-    already there is returned as is."""
-    if _HIGHS_NAME in sys.modules:
-        return sys.modules[_HIGHS_NAME]
-    finder = FileFinder(os.path.join(scipy_dir, "optimize", "_highspy"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_HIGHS_NAME)
-    if spec is None:
-        raise ImportError(f"mmseq needs scipy >= 1.15: no {_HIGHS_NAME} "
-                          f"extension under {scipy_dir}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHS_NAME] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_HIGHS_NAME]
-        raise
-    return module
-
-
-_highs = _load_highs(
-    importlib.util.find_spec("scipy").submodule_search_locations[0])
+_highs = _scipy.load("scipy.optimize._highspy._core")
 
 LE, EQ = "<=", "=="
 

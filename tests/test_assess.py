@@ -26,20 +26,50 @@ def test_t_quantile_reference_values():
     assert t_quantile(0.5, 7) == pytest.approx(0.0, abs=1e-12)
 
 
+# (dof, alpha) pairs on which t_quantile must equal scipy.stats.t.ppf
+T_GRID = [(dof, alpha) for dof in [*range(1, 61), 10**3, 10**6]
+          for alpha in (1e-9, 0.001, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5, 0.9,
+                        1 - 1e-9)]
+
+
 def test_t_quantile_matches_scipy_stats():
     from scipy import stats     # here only: mmseq itself does not import it
-    for dof in [*range(1, 61), 10**3, 10**6]:
-        for alpha in (1e-9, 0.001, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5, 0.9,
-                      1 - 1e-9):
-            assert t_quantile(alpha, dof) == float(stats.t.ppf(1 - alpha, dof))
+    for dof, alpha in T_GRID:
+        assert t_quantile(alpha, dof) == float(stats.t.ppf(1 - alpha, dof))
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor the scipy.optimize package that vendors HiGHS, nor what it pulls in
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    # nor the scipy.optimize package that vendors HiGHS, nor the
+    # scipy.special package around stdtrit, nor what either pulls in
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+             "scipy.special", "scipy._lib._array_api", "numpy.f2py",
+             "numpy.testing")
     out = run_fresh("import sys, mmseq, mmseq.cli; "
-                    f"print([m for m in {heavy!r} if m in sys.modules])")
-    assert out.strip() == "[]"
+                    f"print([m for m in {heavy!r} if m in sys.modules], "
+                    "'scipy.special._ufuncs' in sys.modules)")
+    assert out.split() == ["[]", "True"]
+
+
+def test_scipy_stats_after_mmseq_uses_its_stdtrit():
+    out = run_fresh(
+        "import mmseq, scipy.special, scipy.stats\n"
+        f"grid = {T_GRID!r}\n"
+        "print(all(mmseq.t_quantile(alpha, dof)\n"
+        "          == float(scipy.stats.t.ppf(1 - alpha, dof))\n"
+        "          for dof, alpha in grid),\n"
+        "      scipy.special.stdtrit is mmseq.assess.stdtrit)")
+    assert out.split() == ["True", "True"]
+
+
+def test_mmseq_reuses_ufuncs_loaded_by_scipy_stats():
+    out = run_fresh(
+        "import sys, scipy.stats\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "import mmseq\n"
+        "print(mmseq._scipy.load('scipy.special._ufuncs') is ufuncs,\n"
+        "      mmseq.assess.stdtrit is ufuncs.stdtrit,\n"
+        "      mmseq.t_quantile(0.05, 29) == float(scipy.stats.t.ppf(0.95, 29)))")
+    assert out.split() == ["True", "True", "True"]
 
 
 def test_t_quantile_validation():

@@ -321,8 +321,19 @@ def test_solve_defaults_to_auto(instance_file, capsys):
     assert fields[8] == "0.000000"
 
 
+def test_solve_auto_enumerates_ten_vehicles(instance_file, capsys):
+    path = instance_file(n=10, seed=103)
+    rc, stdout, _ = run_cli(capsys, "solve", "--instance", path,
+                            "--sample-size", "100", "--sample-seed", "200",
+                            "--deterministic")
+    assert rc == 0
+    fields = stdout.splitlines()[1].split(",")
+    assert fields[3] == "enum"
+    assert fields[5] == "65.310982"
+
+
 def test_solve_enum_guard_exits_3(instance_file, capsys):
-    path = instance_file(n=10, seed=104)
+    path = instance_file(n=11, seed=104)
     rc, _, err = run_cli(capsys, "solve", "--instance", path,
                          "--method", "enum")
     assert rc == 3

@@ -462,8 +462,8 @@ def test_enumerate_deterministic(rng):
 
 
 def test_enumerate_guard():
-    inst = generate(preset_config(10, seed=0, size_class="small"))
-    with pytest.raises(SizeGuardError, match="10"):
+    inst = generate(preset_config(11, seed=0, size_class="small"))
+    with pytest.raises(SizeGuardError, match="11"):
         enumerate_optimal(inst, Sample.degenerate(inst))
 
 

@@ -1,13 +1,14 @@
-"""Row-form LP layer: statuses, vertices, slacks, and how the HiGHS
-bindings are loaded."""
+"""Row-form LP layer: statuses, vertices, slacks, and how scipy's
+extensions (the HiGHS bindings and the special-function ufuncs) are
+loaded."""
 
-import os
 import sys
 from importlib.machinery import ExtensionFileLoader
 
 import numpy as np
 import pytest
 
+import mmseq._scipy
 import mmseq.lp
 from mmseq.lp import (EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
                       LPResult, solve_lp)
@@ -15,6 +16,7 @@ from mmseq.lp import (EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
 from conftest import run_fresh
 
 INF = float("inf")
+HIGHS = "scipy.optimize._highspy._core"
 
 
 def test_single_bound_maximize():
@@ -119,7 +121,7 @@ def test_shape_and_sense_validation():
                       lower=[0.0], upper=[1.0])
 
 
-# ----------------------------------------------------------- HiGHS loading
+# ------------------------------------------------- loading scipy's extensions
 
 def test_scipy_optimize_solves_after_mmseq_loads_highs():
     # min x + 2y  s.t.  x + y >= 1.5: 1.5 relaxed, 2 with x, y integer
@@ -144,27 +146,65 @@ def test_mmseq_shares_highs_loaded_by_scipy_optimize():
     assert out.split() == ["True", OPTIMAL, "1.5"]
 
 
+def _scipy_optimize_entries():
+    return [m for m in sys.modules if m.startswith("scipy.optimize")]
+
+
+def _forget_scipy_optimize(monkeypatch):
+    # a real scipy.optimize, imported by an earlier test, would find the
+    # extension through its own __path__ and stand in for the bare parents
+    for name in _scipy_optimize_entries():
+        monkeypatch.delitem(sys.modules, name)
+
+
 def test_highs_loader_needs_the_extension(tmp_path, monkeypatch):
-    monkeypatch.delitem(sys.modules, mmseq.lp._HIGHS_NAME)
+    _forget_scipy_optimize(monkeypatch)
+    monkeypatch.setattr(mmseq._scipy, "_SCIPY_DIR", str(tmp_path))
     (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
     with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
-        mmseq.lp._load_highs(str(tmp_path))
-    assert mmseq.lp._HIGHS_NAME not in sys.modules
+        mmseq._scipy.load(HIGHS)
+    assert HIGHS not in sys.modules
+    assert _scipy_optimize_entries() == []
 
 
 def test_highs_loader_unregisters_a_module_that_fails(monkeypatch):
     def fail(self, module):
         raise ImportError("init failed")
 
-    monkeypatch.delitem(sys.modules, mmseq.lp._HIGHS_NAME)
+    _forget_scipy_optimize(monkeypatch)
     monkeypatch.setattr(ExtensionFileLoader, "exec_module", fail)
-    scipy_dir = os.path.dirname(os.path.dirname(
-        os.path.dirname(mmseq.lp._highs.__file__)))
     with pytest.raises(ImportError, match="init failed"):
-        mmseq.lp._load_highs(scipy_dir)
-    assert mmseq.lp._HIGHS_NAME not in sys.modules
+        mmseq._scipy.load(HIGHS)
+    assert HIGHS not in sys.modules
+    assert _scipy_optimize_entries() == []
 
 
-def test_highs_loader_returns_the_registered_module(tmp_path):
-    # tmp_path holds no extension: only the sys.modules entry can answer
-    assert mmseq.lp._load_highs(str(tmp_path)) is mmseq.lp._highs
+def test_highs_loader_returns_the_registered_module(tmp_path, monkeypatch):
+    # scipy's directory is now tmp_path, which holds no extension: only
+    # the sys.modules entry can answer
+    monkeypatch.setattr(mmseq._scipy, "_SCIPY_DIR", str(tmp_path))
+    assert mmseq._scipy.load(HIGHS) is mmseq.lp._highs
+
+
+def test_a_failed_load_leaves_no_scipy_special_entry():
+    # _ufuncs loads its siblings and then fails: none of them may stay,
+    # nor the bare scipy.special package they were imported under
+    out = run_fresh(
+        "import sys\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "run = ExtensionFileLoader.exec_module\n"
+        "def fail(self, module):\n"
+        "    run(self, module)\n"
+        "    if module.__name__ == 'scipy.special._ufuncs':\n"
+        "        print(sum(m.startswith('scipy.special.') for m in sys.modules))\n"
+        "        raise ImportError('init failed')\n"
+        "ExtensionFileLoader.exec_module = fail\n"
+        "try:\n"
+        "    import mmseq\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "print([m for m in sys.modules if m.startswith('scipy.special')])\n")
+    loaded, error, left = out.splitlines()
+    assert int(loaded) > 1
+    assert error == "init failed"
+    assert left == "[]"
