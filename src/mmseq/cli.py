@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .assess import enumeration_solver, lshaped_solver, mrp, tabu_solver
 from .errors import ConfigError, MMSeqError, ParseError, SizeGuardError
-from .evaluator import Sequence, evaluate_expected
+from .evaluator import Objective, Sequence, evaluate_expected
 from .exact import (ENUMERATION_GUARD, LSHAPED_GUARD, ExactParams,
-                    enumerate_optimal, lshaped_solve)
+                    enumerate_optimal, lshaped_solve, root_bound)
 from .greedy import construct
 from .instance import (SIZE_CLASSES, Instance, generate, instance_digest,
                        load, preset_config, save)
@@ -226,6 +226,10 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown method {method!r}")
 
     objective = evaluate_expected(instance, seq, smp)
+    if lower is None:               # greedy and ts carry no bound of their own
+        bound = Objective(instance, smp)
+        lower = bound.tu(bound._weigh(root_bound(bound)[None])[0])
+        gap = objective - lower
     wall = None if args.deterministic else time.perf_counter() - t0
     record = RunRecord(
         command="solve", instance=instance_digest(instance), seed=args.seed,

@@ -5,7 +5,9 @@ failure encodings; the reference the cuts are tested against),
 optimality cuts whose recourse duals are read off the station recursion
 by complementary slackness, and a branch-and-bound master LP that adds
 cuts lazily at integer-feasible nodes, kept as one HiGHS model that each
-node re-solves from the previous basis.
+node re-solves from the previous basis.  Each scenario's theta starts at
+a floor, root_bound's least overload of that scenario over all orders,
+so the root bound is never below the weighted floors.
 
 One reader, _cuts, turns a batch of station chains into duals and cuts.
 It runs the chains forward on evaluator.station_step, keeping z + eta at
@@ -35,10 +37,11 @@ allowed child of a node at once over children x scenarios x stations
 (a fixed slot gives one child, a forbidden pair none), and prunes a
 child when its prefix overload plus a suffix bound reaches the
 incumbent key.  The bound per (scenario, station) is the larger of work
-conservation and the sum of each remaining vehicle's own excess over
-the window.  The last _TAIL open positions are scored from the node's
-state as one batch.  The incumbent is replaced only by a strictly
-smaller key, so the result is the lexicographically smallest argmin.
+conservation, with each remaining vehicle's eta clipped at -cap, and the
+sum of each remaining vehicle's own excess over the window.  The last
+_TAIL open positions are scored from the node's state as one batch.
+The incumbent is replaced only by a strictly smaller key, so the result
+is the lexicographically smallest argmin.
 """
 
 from __future__ import annotations
@@ -78,19 +81,42 @@ _PERMS = [np.array(list(itertools.permutations(range(m))), dtype=np.intp
                    ).reshape(math.factorial(m), m) for m in range(_TAIL + 1)]
 
 
+def _rest_terms(eta, cap):
+    """Each vehicle's terms of _suffix_bound's rest sums: eta clipped at
+    -cap, and its excess max(0, eta - cap)."""
+    if (cap < 0).any():
+        k = int(np.flatnonzero(cap < 0)[0])
+        raise ValueError(f"station {k} is shorter than the cycle time")
+    return np.maximum(eta, -cap), np.maximum(eta - cap, 0)
+
+
 def _suffix_bound(z, rest_eta, rest_excess, cap, regenerative: bool):
     """Least overload any completion adds, per (scenario, station), from
-    entry state z with rest_eta = sum of eta and rest_excess = sum of
-    max(0, eta - cap) over the vehicles still to place.
+    entry state z with rest_eta = sum of max(eta, -cap) and rest_excess =
+    sum of max(0, eta - cap) over the vehicles still to place (the terms
+    of _rest_terms).
 
-    Work conservation: the rest's overload is z + rest_eta + idle - z_exit,
-    with idle >= 0 and z_exit = 0 at a regenerative end, <= cap at an open
-    one.  Each vehicle alone: w >= s - cap >= eta - cap inside the window
-    and w = s >= eta at the regenerative last slot (needs cap >= 0).
-    rest_excess >= 0 also clamps the conserved work at 0.
+    Work conservation: the rest's overload is
+    z + sum(eta) + sum(idle) - z_exit, with z_exit = 0 at a regenerative
+    end and <= cap at an open one.  A vehicle idles
+    idle_t = max(0, -(z_t + eta_t)), and its entry state z_t <= cap, so
+    idle_t >= max(0, -eta_t - cap) and eta_t + idle_t >= max(eta_t, -cap):
+    the clipped sum never exceeds sum(eta) + sum(idle) (needs cap >= 0).
+    Each vehicle alone: w >= s - cap >= eta - cap inside the window and
+    w = s >= eta at the regenerative last slot.  rest_excess >= 0 also
+    clamps the conserved work at 0.
     """
     conserved = z + rest_eta if regenerative else z + rest_eta - cap
     return np.maximum(conserved, rest_excess)
+
+
+def root_bound(objective: Objective) -> np.ndarray:
+    """Least overload of any order under each scenario, in ticks summed
+    over stations: _suffix_bound from z = 0 over every vehicle."""
+    cap = objective.cap
+    clipped, excess = _rest_terms(objective.scenario_eta, cap)
+    return _suffix_bound(0, clipped.sum(axis=0), excess.sum(axis=0), cap,
+                         objective.regenerative).sum(axis=-1)
 
 
 def _search(objective: Objective, fix, incumbent=None):
@@ -105,12 +131,9 @@ def _search(objective: Objective, fix, incumbent=None):
     when no completion is strictly below the incumbent.
     """
     cap = objective.cap
-    if (cap < 0).any():
-        k = int(np.flatnonzero(cap < 0)[0])
-        raise ValueError(f"station {k} is shorter than the cycle time")
     T = len(fix)
     eta = objective.scenario_eta                       # V x S x K
-    excess = np.maximum(eta - cap, 0)
+    clipped, excess = _rest_terms(eta, cap)
     allowed = fix != 0                                 # vehicle x position
     fixed = fix == 1
     # the vehicle fixed at each position, -1 where the position is open
@@ -160,7 +183,7 @@ def _search(objective: Objective, fix, incumbent=None):
         cap_c = caps[:len(kids)]
         _, zc, w = station_step(z, eta[kids], cap_c)
         done_c = done + w.sum(axis=2)
-        eta_c = rest_eta - eta[kids]
+        eta_c = rest_eta - clipped[kids]
         excess_c = rest_excess - excess[kids]
         bounds = weigh(done_c + _suffix_bound(
             zc, eta_c, excess_c, cap_c, objective.regenerative).sum(axis=2))
@@ -171,7 +194,7 @@ def _search(objective: Objective, fix, incumbent=None):
                    done_c[i], eta_c[i], excess_c[i])
 
     expand(0, loose, (), np.zeros(eta.shape[1:], dtype=np.int64),
-           np.zeros(eta.shape[1], dtype=np.int64), eta.sum(axis=0), excess.sum(axis=0))
+           np.zeros(eta.shape[1], dtype=np.int64), clipped.sum(axis=0), excess.sum(axis=0))
     # expand refers to itself, a reference cycle that would keep this
     # call's arrays alive until the next garbage collection
     del expand
@@ -436,6 +459,8 @@ class LShapedResult(NamedTuple):
 class _Master:
     """Node LPs over the assignment polytope with theta variables and a
     shared cut pool; a node's fixing matrix becomes the assignment bounds.
+    floors (ticks, one per scenario column or one for all) are the
+    thetas' column lower bounds.
 
     One HiGHS model lives for the whole solve: the assignment rows are
     passed once, each new cut is appended as a row, and a node solve
@@ -447,7 +472,7 @@ class _Master:
     deduplication key.
     """
 
-    def __init__(self, instance: Instance, weights, n):
+    def __init__(self, instance: Instance, weights, n, floors=0):
         self.nv = instance.n_vehicles
         self.nx = self.nv * self.nv
         n_scen = len(weights)
@@ -464,10 +489,11 @@ class _Master:
             a[self.nv + t, t:self.nx:self.nv] = 1.0
         objective = np.zeros(self.nvar)
         objective[self.nx:] = [w / total for w in weights.tolist()]
+        lower = np.zeros(self.nvar)
+        lower[self.nx:] = np.asarray(floors) / TICKS_PER_TU
         upper = np.concatenate([np.ones(self.nx), np.full(n_scen, np.inf)])
         self.lp = Model(LinearProgram(objective, a, (EQ,) * self.n_base,
-                                      np.ones(self.n_base),
-                                      np.zeros(self.nvar), upper))
+                                      np.ones(self.n_base), lower, upper))
         self._xcols = np.arange(self.nx)
         self._last_active = np.zeros(0, dtype=int)
         self._keys: list = []
@@ -545,11 +571,13 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     optimality cuts at integer nodes; exact for integral-multiplicity
     scenario sets, tolerance-exact otherwise.
 
-    Two accelerations keep the tree manageable without touching the
-    bound logic: the greedy constructor seeds the incumbent before the
-    root, and nodes whose fixings leave at most a handful of vehicles
-    unassigned are closed by the exact completion search, seeded with
-    the incumbent, instead of relaxing further.
+    Every theta_j starts at the constant lower bound of the integer
+    L-shaped method (Laporte & Louveaux 1993): root_bound's overload of
+    scenario j, which no order goes below, in place of 0.  Two more
+    accelerations keep the tree manageable: the greedy constructor seeds
+    the incumbent before the root, and nodes whose fixings leave at most
+    a handful of vehicles unassigned are closed by the exact completion
+    search, seeded with the incumbent, instead of relaxing further.
     """
     params = params or ExactParams()
     nv = instance.n_vehicles
@@ -560,7 +588,7 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     objective = Objective(instance, smp)
     n, exists = objective.n, objective.exists
     c = instance.cycle_time
-    master = _Master(instance, objective.weights, n)
+    master = _Master(instance, objective.weights, n, root_bound(objective))
     stats = SolveStats()
 
     if n is not None:

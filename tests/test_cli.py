@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from mmseq.cli import (COMPARE_HEADER, RUN_HEADER, RunRecord, format_solution,
                        main, parse_solution)
 from mmseq.errors import ParseError
-from mmseq.evaluator import evaluate_expected
+from mmseq.evaluator import Objective, evaluate_expected
+from mmseq.exact import root_bound
 from mmseq.greedy import construct
 from mmseq.instance import (Instance, Vehicle, generate, instance_digest,
                             load, preset_config, save)
@@ -156,6 +157,29 @@ def test_solve_ts_zero_iterations_is_the_greedy_start(instance_file, tmp_path,
     smp = sample(inst, 30, seed=2)
     want = evaluate_expected(inst, start, smp)
     assert stdout.splitlines()[1].split(",")[5] == f"{want:.6f}"
+
+
+@pytest.mark.parametrize("method, extra", [("greedy", []),
+                                           ("ts", ["--iters", "100"])])
+def test_solve_heuristics_report_the_root_bound(instance_file, tmp_path, capsys,
+                                                method, extra):
+    path = instance_file(n=8, seed=103)
+    sol = tmp_path / "sol.txt"
+    common = ["--instance", path, "--sample-size", "100", "--sample-seed", "200",
+              "--deterministic"]
+    rc, stdout, _ = run_cli(capsys, "solve", "--method", method, *common, *extra,
+                            "--out", str(sol))
+    assert rc == 0
+    fields = stdout.splitlines()[1].split(",")
+    inst = load(path)
+    smp = sample(inst, 100, seed=200)
+    bound = Objective(inst, smp)
+    lower = bound.tu(bound._weigh(root_bound(bound)[None])[0])
+    value = evaluate_expected(inst, parse_solution(sol.read_text())[2], smp)
+    assert fields[5:9] == [f"{value:.6f}", f"{lower:.6f}", "", f"{value - lower:.6f}"]
+    rc, stdout, _ = run_cli(capsys, "solve", "--method", "enum", *common)
+    assert rc == 0
+    assert lower <= float(stdout.splitlines()[1].split(",")[5]) <= value
 
 
 def test_solve_deterministic_reruns_match(instance_file, tmp_path, capsys):

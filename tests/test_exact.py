@@ -14,9 +14,9 @@ from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              evaluate_station, evaluate_weighted)
 from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
                          _branch_pick, _cuts, _integral_order, _Master,
-                         _search, _suffix_bound, enumerate_optimal,
-                         full_information, lshaped_solve, recourse_lp,
-                         solve_dsp)
+                         _rest_terms, _search, _suffix_bound,
+                         enumerate_optimal, full_information, lshaped_solve,
+                         recourse_lp, root_bound, solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
 from mmseq.lp import EQ, LE, OPTIMAL, LinearProgram, solve_lp
@@ -449,6 +449,33 @@ def test_suffix_bound_never_exceeds_a_completion(seed, regen):
             assert bound <= sum(ev.w[t:])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_clipped_suffix_bound_never_exceeds_the_rest_of_an_order(seed, regen):
+    # the engine's rest sums on preset instances, where some vehicles
+    # idle past -cap; clipping at 0 or at -(cap // 2) fails this
+    rng = make_rng(seed)
+    n = int(rng.integers(7, 10))
+    inst = generate(preset_config(n, int(rng.integers(0, 1000)),
+                                  str(rng.choice(["small", "medium", "large"]))))
+    smp = sample(inst, int(rng.integers(1, 101)), seed=seed)
+    objective = Objective(inst, smp, regen)
+    order = random_order(rng, n)
+    t = int(rng.integers(0, n))
+    clipped, excess = _rest_terms(objective.scenario_eta, objective.cap)
+    rest = list(order[t:])
+    rest_eta = clipped[rest].sum(axis=0)                   # scenarios x stations
+    rest_excess = excess[rest].sum(axis=0)
+    c = inst.cycle_time
+    for j, (scen, _) in enumerate(smp.unique):
+        for k, (row, stn) in enumerate(zip(inst.processing_rows(), inst.stations)):
+            ev = evaluate_station([row[v] if scen.exists[v] else c for v in order],
+                                  c, stn.length, regen)
+            bound = _suffix_bound(ev.z[t], rest_eta[j, k], rest_excess[j, k],
+                                  stn.length - c, regen)
+            assert bound <= sum(ev.w[t:])
+
+
 def test_search_refuses_a_station_shorter_than_the_cycle():
     inst = Instance.of(7, (10, 6), [Vehicle.of(v, False, (5, 5)) for v in range(3)])
     with pytest.raises(ValueError, match="station 1"):
@@ -527,6 +554,31 @@ def test_lshaped_full_information():
     assert res.lower_bound <= res.upper_bound + 1e-9
     assert evaluate_weighted(inst, res.sequence, ws.pairs) == pytest.approx(
         opt, abs=1e-9)
+
+
+@pytest.mark.parametrize("size_class", ["small", "medium", "large"])
+@pytest.mark.parametrize("seed", [1, 8, 103, 200])
+def test_theta_floors_sit_below_the_optimum(size_class, seed):
+    inst = generate(preset_config(7, seed, size_class))
+    smp = sample(inst, 100, 200)
+    objective = Objective(inst, smp)
+    floors = root_bound(objective)
+    best, _ = enumerate_optimal(inst, smp)
+    costs = [station_cost(inst, best.order, scen, True) for scen, _ in smp.unique]
+    assert (floors <= costs).all()
+    assert objective._weigh(floors[None])[0] <= objective.keys([best.order])[0]
+
+
+@pytest.mark.parametrize("seed", [310, 311])
+def test_lshaped_full_information_with_floors(seed):
+    inst = generate(preset_config(6, seed=seed, size_class="small"))
+    ws = full_information(inst)
+    objective = Objective(inst, ws)
+    best, opt = enumerate_optimal(inst, ws)
+    assert (root_bound(objective) <= objective.ticks([best.order])[0]).all()
+    res = lshaped_solve(inst, ws)
+    assert res.upper_bound == pytest.approx(opt, abs=1e-9)
+    assert res.lower_bound <= res.upper_bound + 1e-9
 
 
 def test_lshaped_single_scenario():
@@ -746,10 +798,10 @@ def test_exact_small_branch_and_cut_trace_is_pinned():
     inst = generate(preset_config(8, 103, "small"))
     res = lshaped_solve(inst, sample(inst, 100, 200))
     stats = res.stats
-    assert res.sequence.order == (0, 6, 1, 5, 7, 3, 2, 4)
+    assert res.sequence.order == (0, 6, 1, 7, 5, 3, 2, 4)
     assert f"{res.lower_bound:.6f}" == f"{res.upper_bound:.6f}" == "13.772062"
     assert (stats.status, stats.nodes, stats.cuts_added, stats.lp_solves,
-            stats.leaf_exhausts) == ("optimal", 663, 112, 380, 308)
+            stats.leaf_exhausts) == ("optimal", 5, 5, 4, 2)
 
 
 def test_lshaped_deterministic():
