@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import _scipy
-from .errors import MMSeqError
+from .errors import MMSeqError, SizeGuardError
 from .evaluator import Sequence, evaluate_expected
 from .instance import Instance
 from .scenario import Sample, sample
@@ -109,7 +109,8 @@ def mrp(instance: Instance, candidate, solver: SAASolver, *,
     Replication m draws its sample from a seed derived as (seed, m) and
     hands the solver a seed derived as (seed, m, 1), so any replication
     is reproducible in isolation.  A solver failure aborts the procedure
-    and the report carries the completed rows only.
+    and the report carries the completed rows only; a size-guard refusal
+    propagates instead, since the solver would refuse every replication.
     """
     if replications < 2:
         raise ValueError("need at least two replications")
@@ -121,6 +122,8 @@ def mrp(instance: Instance, candidate, solver: SAASolver, *,
                      forbid_low_risk_failures=forbid_low_risk_failures)
         try:
             _, z_m = solver(instance, smp, derive_seed(seed, m, 1))
+        except SizeGuardError:
+            raise
         except MMSeqError:
             return _aggregate(rows, alpha, n, aborted_at=m)
         zhat_m = evaluate_expected(instance, candidate, smp)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .assess import enumeration_solver, lshaped_solver, mrp, tabu_solver
 from .errors import ConfigError, MMSeqError, ParseError, SizeGuardError
-from .evaluator import Objective, Sequence, evaluate_expected
-from .exact import (ENUMERATION_GUARD, LSHAPED_GUARD, ExactParams,
-                    enumerate_optimal, lshaped_solve, root_bound)
+from .evaluator import Objective, Sequence, as_order, evaluate_expected
+from .exact import (ENUMERATION_GUARD, ExactParams, enumerate_optimal,
+                    lshaped_solve, root_bound)
 from .greedy import construct
 from .instance import (SIZE_CLASSES, Instance, generate, instance_digest,
                        load, preset_config, save)
@@ -145,11 +145,7 @@ def _search_params(args) -> SearchParams:
 def _pick_method(instance: Instance, requested: str) -> str:
     if requested != "auto":
         return requested
-    if instance.n_vehicles <= ENUMERATION_GUARD:
-        return "enum"
-    if instance.n_vehicles <= LSHAPED_GUARD:
-        return "lshaped"
-    return "ts"
+    return "enum" if instance.n_vehicles <= ENUMERATION_GUARD else "ts"
 
 
 def _solver_for(method: str, args):
@@ -225,10 +221,10 @@ def cmd_solve(args) -> int:
     else:
         raise ConfigError(f"unknown method {method!r}")
 
-    objective = evaluate_expected(instance, seq, smp)
+    scored = Objective(instance, smp)
+    objective = scored.tu(scored.keys([as_order(seq)])[0])
     if lower is None:               # greedy and ts carry no bound of their own
-        bound = Objective(instance, smp)
-        lower = bound.tu(bound._weigh(root_bound(bound)[None])[0])
+        lower = scored.tu(scored._weigh(root_bound(scored)[None])[0])
         gap = objective - lower
     wall = None if args.deterministic else time.perf_counter() - t0
     record = RunRecord(
@@ -333,6 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration budgets only; blank wall-clock fields")
         p.add_argument("--out", help="output path")
 
+    def method(p, choices):
+        p.add_argument("--method", default="auto", choices=choices,
+                       help=f"auto (default): enum up to {ENUMERATION_GUARD} "
+                            "vehicles, ts above")
+
     def budgets(p):
         p.add_argument("--iters", type=_COUNT,
                        help="ts iteration budget, split 10:590 between the "
@@ -354,10 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run one solver on one instance")
     s.add_argument("--instance", required=True)
-    s.add_argument("--method", default="auto",
-                   choices=["auto", "greedy", "ts", "lshaped", "enum"],
-                   help="auto (default): enum up to 9 vehicles, lshaped up "
-                        "to 12, ts above")
+    method(s, ["auto", "greedy", "ts", "lshaped", "enum"])
     s.add_argument("--sample-size", type=_COUNT, default=0,
                    help="scenario draws; 0 = the no-failure scenario")
     s.add_argument("--sample-seed", type=_COUNT, default=0)
@@ -368,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("assess", help="gap bound for a stored solution")
     a.add_argument("--instance", required=True)
     a.add_argument("--solution", required=True)
-    a.add_argument("--method", default="auto",
-                   choices=["auto", "enum", "lshaped", "ts"])
+    method(a, ["auto", "enum", "lshaped", "ts"])
     a.add_argument("--replications", default=10,
                    type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
     a.add_argument("--sample-size", type=_POSITIVE, default=100,
@@ -382,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="failure-blind vs sampled solution")
     c.add_argument("--instance", required=True)
-    c.add_argument("--method", default="auto",
-                   choices=["auto", "enum", "lshaped", "ts"])
+    method(c, ["auto", "enum", "lshaped", "ts"])
     c.add_argument("--sample-size", type=_POSITIVE, required=True)
     c.add_argument("--sample-seed", type=_COUNT, default=0)
     c.add_argument("--eval-size", type=_POSITIVE, default=1000)

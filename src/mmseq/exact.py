@@ -65,7 +65,7 @@ from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
 from .scenario import Scenario, WeightedScenarios, enumerate_all
 from .timeunits import TICKS_PER_TU
 
-ENUMERATION_GUARD = 10
+ENUMERATION_GUARD = 12
 LSHAPED_GUARD = 12
 
 

@@ -14,7 +14,7 @@ from mmseq.cli import (COMPARE_HEADER, RUN_HEADER, RunRecord, format_solution,
                        main, parse_solution)
 from mmseq.errors import ParseError
 from mmseq.evaluator import Objective, evaluate_expected
-from mmseq.exact import root_bound
+from mmseq.exact import ENUMERATION_GUARD, root_bound
 from mmseq.greedy import construct
 from mmseq.instance import (Instance, Vehicle, generate, instance_digest,
                             load, preset_config, save)
@@ -356,8 +356,36 @@ def test_solve_auto_enumerates_ten_vehicles(instance_file, capsys):
     assert fields[5] == "65.310982"
 
 
+def test_solve_auto_enumerates_twelve_vehicles(instance_file, capsys):
+    path = instance_file(n=12, seed=8)
+    rc, stdout, _ = run_cli(capsys, "solve", "--instance", path,
+                            "--sample-size", "100", "--sample-seed", "200",
+                            "--deterministic")
+    assert rc == 0
+    fields = stdout.splitlines()[1].split(",")
+    assert fields[3] == "enum"
+    assert fields[5] == "56.498868"
+    assert fields[8] == "0.000000"
+
+
+def test_solve_auto_searches_thirteen_vehicles(instance_file, capsys):
+    path = instance_file(n=13, seed=8)
+    rc, stdout, _ = run_cli(capsys, "solve", "--instance", path,
+                            "--iters", "20", "--deterministic")
+    assert rc == 0
+    assert stdout.splitlines()[1].split(",")[3] == "ts"
+
+
+def test_method_help_names_the_enumeration_guard(capsys):
+    for command in ("solve", "assess", "compare"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"auto (default): enum up to {ENUMERATION_GUARD} vehicles, ts above" in text
+
+
 def test_solve_enum_guard_exits_3(instance_file, capsys):
-    path = instance_file(n=11, seed=104)
+    path = instance_file(n=13, seed=104)
     rc, _, err = run_cli(capsys, "solve", "--instance", path,
                          "--method", "enum")
     assert rc == 3
@@ -391,6 +419,18 @@ def test_assess_round_trip(instance_file, tmp_path, capsys):
     assert rc == 0
     assert stdout.splitlines()[0] == "replication,sample_optimum,candidate_cost,gap"
     assert report_path.read_text() == stdout
+
+
+def test_assess_enum_guard_exits_3(instance_file, tmp_path, capsys):
+    path = instance_file(n=13, seed=104)
+    sol = tmp_path / "sol.txt"
+    sol.write_text(format_solution(load(path), range(13), None), encoding="utf-8")
+    rc, stdout, err = run_cli(capsys, "assess", "--instance", path,
+                              "--solution", str(sol), "--method", "enum",
+                              "--replications", "2", "--sample-size", "5")
+    assert rc == 3
+    assert "refused" in err
+    assert stdout == ""
 
 
 def test_assess_digest_mismatch_exits_2(instance_file, tmp_path, capsys):

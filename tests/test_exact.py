@@ -489,8 +489,8 @@ def test_enumerate_deterministic(rng):
 
 
 def test_enumerate_guard():
-    inst = generate(preset_config(11, seed=0, size_class="small"))
-    with pytest.raises(SizeGuardError, match="11"):
+    inst = generate(preset_config(13, seed=0, size_class="small"))
+    with pytest.raises(SizeGuardError, match="13"):
         enumerate_optimal(inst, Sample.degenerate(inst))
 
 
