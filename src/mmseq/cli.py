@@ -323,11 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmark generation, solvers, and assessment.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, deterministic="iteration budgets only; blank wall-clock fields"):
         p.add_argument("--seed", type=_COUNT, default=0)
-        p.add_argument("--deterministic", action="store_true",
-                       help="iteration budgets only; blank wall-clock fields")
+        p.add_argument("--deterministic", action="store_true", help=deterministic)
         p.add_argument("--out", help="output path")
+
+    # the subcommands that solve, where --deterministic drops --time-limit
+    solving = ("iteration budgets only; blank wall-clock fields; --method "
+               "lshaped then runs branch-and-cut with no time bound")
 
     def method(p, choices):
         p.add_argument("--method", default="auto", choices=choices,
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario draws; 0 = the no-failure scenario")
     s.add_argument("--sample-seed", type=_COUNT, default=0)
     budgets(s)
-    common(s)
+    common(s, solving)
     s.set_defaults(func=cmd_solve)
 
     a = sub.add_parser("assess", help="gap bound for a stored solution")
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--alpha", default=0.05,
                    type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"))
     budgets(a)
-    common(a)
+    common(a, solving)
     a.set_defaults(func=cmd_assess)
 
     c = sub.add_parser("compare", help="failure-blind vs sampled solution")
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--eval-size", type=_POSITIVE, default=1000)
     c.add_argument("--eval-seed", type=_COUNT)
     budgets(c)
-    common(c)
+    common(c, solving)
     c.set_defaults(func=cmd_compare)
     return parser
 

@@ -29,7 +29,7 @@ The recursion is written twice.  evaluate_station runs it for one
 scenario and station in pure Python and keeps the full trace: it is the
 reference in the tests, and it feeds evaluate and trace_csv.
 station_step is one position of it, elementwise over any broadcast
-shape of int64 arrays, and every batched caller runs on it:
+shape of integer arrays, and every batched caller runs on it:
 Objective.ticks over orders x stations x scenarios for full
 evaluations, Trajectory._scan over scenarios x stations for
 local-search probes (partial_reevaluate rescans only the window a move
@@ -47,6 +47,21 @@ their per-vehicle scenarios x stations blocks.  All three pass cap at
 full shape, built once per call or per trajectory.  greedy.construct
 steps only candidates x stations once per position and keeps the (K,)
 cap.
+
+Objective picks the state dtype once per instance: int32 when
+max_k(l_k + c + sum_v |p_vk - c|) < 2**31 ticks, else int64.  cap, eta,
+scenario_eta, the buffers of Objective.ticks and Trajectory, and the
+state of exact._search all take it.  The bound covers every value a
+station's recursion forms, so int32 is exact where it is picked:
+- 0 <= z <= cap and eta >= -c, so z + eta lies in [-c, cap + max eta];
+- by work conservation, s[t] <= z[t] + max(eta[t], 0) and
+  z[t+1] + w[t] = s[t], so the overload a (scenario, station) row runs
+  up over any stretch of positions is at most cap + sum_v max(eta_v, 0);
+- exact._cuts forms eta + c = p and cap + c = l.
+Sums over stations, positions or vehicles (keys, probe deltas,
+Trajectory.value, root bounds and the exact search's prefix costs) are
+taken with dtype=np.int64, whatever the platform's default integer.
+greedy.construct keeps its own (K,) int64 arrays.
 """
 
 from __future__ import annotations
@@ -249,10 +264,15 @@ class Objective:
         _check_vehicles(instance, self.exists.shape[0], "the scenario set")
         self.regenerative = regenerative
         c = instance.cycle_time
-        self.cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
+        lengths = np.array([st.length for st in instance.stations], dtype=np.int64)
+        p = np.array([veh.processing_times for veh in instance.vehicles], dtype=np.int64)
+        # the state dtype: int32 when the tick bound of the module
+        # docstring proves every state value fits, else int64
+        bound = int((lengths + c + np.abs(p - c).sum(axis=0)).max())
+        dtype = np.int32 if bound < 2**31 else np.int64
+        self.cap = (lengths - c).astype(dtype)
         # eta[v] = p[v] - c, vehicle v's eta at every station when it exists
-        self.eta = np.array([veh.processing_times for veh in instance.vehicles],
-                            dtype=np.int64) - c
+        self.eta = (p - c).astype(dtype)
 
     @functools.cached_property
     def scenario_eta(self) -> np.ndarray:
@@ -267,7 +287,7 @@ class Objective:
         n_orders, T = orders.shape
         last = T - 1 if self.regenerative else T
         # orders x stations x scenarios: the scenario axis is contiguous
-        z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=np.int64)
+        z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=self.eta.dtype)
         eta, s, w, cap = (np.empty_like(z) for _ in range(4))
         cap[...] = self.cap[:, None]
         total = np.zeros_like(z)
@@ -276,7 +296,7 @@ class Objective:
             np.multiply(self.exists[v][:, None, :], self.eta[v][:, :, None], out=eta)
             station_step(z, eta, cap, t == last, out=(s, z, w))
             total += w
-        return total.sum(axis=1)
+        return total.sum(axis=1, dtype=np.int64)
 
     def keys(self, orders) -> list:
         """Comparison key of each order in the batch (Python numbers)."""
@@ -340,10 +360,12 @@ class Trajectory:
     """Station trajectories of one order under every scenario of a Sample.
 
     z[t] is the entry state at position t and w[t] its overload, each a
-    scenarios x stations int64 array; z has one more row, the state after
-    the last position.  value is the exact numerator sum_w n_w * Q(order, w)
-    in ticks.  partial_reevaluate prices a move into preallocated buffers,
-    and commit splices the probed windows in.  Mutable, single-owner.
+    scenarios x stations array of the objective's state dtype (int32 when
+    the instance's tick bound allows it, see the module docstring); z has
+    one more row, the state after the last position.  value is the exact
+    numerator sum_w n_w * Q(order, w) in ticks.  partial_reevaluate prices
+    a move into preallocated buffers, and commit splices the probed
+    windows in.  Mutable, single-owner.
     """
 
     def __init__(self, objective: Objective, order: tuple[int, ...]):
@@ -355,11 +377,12 @@ class Trajectory:
         n_scenarios, n_stations = objective.exists.shape[1], len(objective.cap)
         # the position whose overload is charged against the cycle time
         self._last = T - 1 if objective.regenerative else T
-        self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=np.int64)
-        self.w = np.zeros((T, n_scenarios, n_stations), dtype=np.int64)
+        dtype = objective.eta.dtype
+        self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=dtype)
+        self.w = np.zeros((T, n_scenarios, n_stations), dtype=dtype)
         self._zbuf = np.zeros_like(self.z)
         self._wbuf = np.zeros_like(self.w)
-        self._s = np.empty((n_scenarios, n_stations), dtype=np.int64)
+        self._s = np.empty((n_scenarios, n_stations), dtype=dtype)
         self._cap = np.empty_like(self._s)
         self._cap[...] = objective.cap
         # row views, indexed from Python lists in the scan loop
@@ -371,7 +394,7 @@ class Trajectory:
         self._scan(order, 0, T - 1, False)
         self.z[1:] = self._zbuf[1:]
         self.w[:] = self._wbuf
-        self.value = objective._weigh(self.w.sum(axis=(0, 2))[None, :])[0]
+        self.value = objective._weigh(self.w.sum(axis=(0, 2), dtype=np.int64)[None, :])[0]
 
     def _scan(self, order, t1: int, t2: int, swap: bool):
         """Run the recursion for order into the buffers from the cached
@@ -430,7 +453,7 @@ def partial_reevaluate(trajectory: Trajectory, move: Move) -> tuple[Probe, int]:
     diff = 0   # scenarios x stations
     positions = 0
     for a, b in windows:
-        diff = diff + (trajectory._wbuf[a:b] - trajectory.w[a:b]).sum(axis=0)
+        diff = diff + (trajectory._wbuf[a:b] - trajectory.w[a:b]).sum(axis=0, dtype=np.int64)
         positions += b - a
     delta = trajectory.objective._weigh(diff.sum(axis=1)[None, :])[0]
     probe = Probe(order, delta, tuple(windows),

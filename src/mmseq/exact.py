@@ -115,8 +115,9 @@ def root_bound(objective: Objective) -> np.ndarray:
     over stations: _suffix_bound from z = 0 over every vehicle."""
     cap = objective.cap
     clipped, excess = _rest_terms(objective.scenario_eta, cap)
-    return _suffix_bound(0, clipped.sum(axis=0), excess.sum(axis=0), cap,
-                         objective.regenerative).sum(axis=-1)
+    return _suffix_bound(0, clipped.sum(axis=0, dtype=np.int64),
+                         excess.sum(axis=0, dtype=np.int64), cap,
+                         objective.regenerative).sum(axis=-1, dtype=np.int64)
 
 
 def _search(objective: Objective, fix, incumbent=None):
@@ -143,7 +144,7 @@ def _search(objective: Objective, fix, incumbent=None):
     # node's children), sliced per step: a (K,) operand would make
     # numpy's inner loop run over K elements at a time
     caps = np.empty((max(len(_PERMS[min(len(loose), _TAIL)]), T),) + eta.shape[1:],
-                    dtype=np.int64)
+                    dtype=eta.dtype)
     caps[...] = cap
     open_after = [slots[t:].count(-1) for t in range(T + 1)]
     last = T - 1 if objective.regenerative else T
@@ -166,7 +167,7 @@ def _search(objective: Objective, fix, incumbent=None):
         for j in range(T - t):
             station_step(zs, eta[orders[:, j]], cap_t, t + j == last, out=(s, zs, w))
             total += w
-        keys = weigh(done + total.sum(axis=2))
+        keys = weigh(done + total.sum(axis=2, dtype=np.int64))
         i = min(range(len(keys)), key=keys.__getitem__)
         if best_key is None or keys[i] < best_key:
             best_order, best_key = prefix + tuple(orders[i].tolist()), keys[i]
@@ -182,7 +183,7 @@ def _search(objective: Objective, fix, incumbent=None):
         # more than _TAIL open positions follow, so t is not the last
         cap_c = caps[:len(kids)]
         _, zc, w = station_step(z, eta[kids], cap_c)
-        done_c = done + w.sum(axis=2)
+        done_c = done + w.sum(axis=2, dtype=np.int64)
         eta_c = rest_eta - clipped[kids]
         excess_c = rest_excess - excess[kids]
         bounds = weigh(done_c + _suffix_bound(
@@ -193,8 +194,9 @@ def _search(objective: Objective, fix, incumbent=None):
             expand(t + 1, [u for u in free if u != v], prefix + (v,), zc[i],
                    done_c[i], eta_c[i], excess_c[i])
 
-    expand(0, loose, (), np.zeros(eta.shape[1:], dtype=np.int64),
-           np.zeros(eta.shape[1], dtype=np.int64), clipped.sum(axis=0), excess.sum(axis=0))
+    expand(0, loose, (), np.zeros(eta.shape[1:], dtype=eta.dtype),
+           np.zeros(eta.shape[1], dtype=np.int64), clipped.sum(axis=0, dtype=np.int64),
+           excess.sum(axis=0, dtype=np.int64))
     # expand refers to itself, a reference cycle that would keep this
     # call's arrays alive until the next garbage collection
     del expand
@@ -374,11 +376,12 @@ def _cuts(eff, b, c: int, cap, regenerative: bool):
     eta = b - c
     T = len(eta)
     z = np.zeros((T + 1,) + eta.shape[1:], dtype=eta.dtype)
+    wide = np.promote_types(eta.dtype, np.int64)   # int64 sums, float at a fractional anchor
     overload = 0
     for t in range(T):
         _, _, w = station_step(z[t], eta[t], cap, regenerative and t == T - 1,
                                out=(None, z[t + 1], None))
-        overload = overload + w.sum(axis=-1)
+        overload = overload + w.sum(axis=-1, dtype=wide)
     reach = z[:T] + eta
     over, carry = reach >= cap, reach >= 0
     sp = np.zeros(eta.shape, dtype=np.int64)

@@ -30,10 +30,12 @@ HIGH_RISK = "high"
 FORMAT_VERSION = "mms-instance/1"
 
 # Longest station length or processing time (the cycle time is capped
-# by the station lengths): 10^6 TU = 10^10 ticks.  The evaluators sum
-# ticks along an order in int64, so with this bound the sums stay below
-# 2^63 for up to 9 * 10^8 vehicle-station terms instead of wrapping or
-# overflowing on the way into numpy.
+# by the station lengths): 10^6 TU = 10^10 ticks.  The evaluators run
+# the station recursion in int32 when max_k(l_k + c + sum_v |p_vk - c|)
+# < 2^31 ticks and in int64 otherwise (see evaluator), and sum ticks in
+# int64, so with this bound the sums stay below 2^63 for up to 9 * 10^8
+# vehicle-station terms instead of wrapping or overflowing on the way
+# into numpy.
 MAX_DURATION = 10**6 * TICKS_PER_TU
 
 # libyaml's parser where PyYAML was built with it: the same safe

@@ -14,10 +14,11 @@ draw counts; sums of integer tick values weighted by integer counts keep
 sample averages exact.  WeightedScenarios keeps (Scenario, weight)
 pairs, e.g. true probabilities, and derives the same arrays once.
 Scenario objects are built only where one is needed, e.g. by
-Sample.unique for the sample file.  `sample` draws all N x V variates
-at once and finds the distinct rows by packing each into big-endian
-64-bit words and lexsorting the words, which orders the rows
-lexicographically.
+Sample.unique for the sample file.  `sample` draws its N x V variates
+in blocks of _BLOCK_ROWS rows straight into the bool existence matrix,
+the same stream as one N x V draw without its N x V floats, and finds
+the distinct rows by packing each into big-endian 64-bit words and
+lexsorting the words, which orders the rows lexicographically.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .instance import Instance, read_mapping
 from .seeding import make_rng
 
 ENUMERATION_GUARD = 20
+
+# draws per block of uniform variates in sample: 4096 x V float64 at a
+# time instead of N x V (1.6 GB at N = 10^6, V = 200)
+_BLOCK_ROWS = 4096
 
 FORMAT_VERSION = "mms-sample/1"
 
@@ -195,8 +200,13 @@ def sample(instance: Instance, n: int, seed: int,
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = make_rng(seed)
-    u = rng.random((n, instance.n_vehicles))
-    exists = u >= np.array([veh.failure_prob for veh in instance.vehicles])
+    fail = np.array([veh.failure_prob for veh in instance.vehicles])
+    exists = np.empty((n, instance.n_vehicles), dtype=bool)
+    u = np.empty((min(n, _BLOCK_ROWS), instance.n_vehicles))
+    for a in range(0, n, _BLOCK_ROWS):
+        block = u[:min(_BLOCK_ROWS, n - a)]
+        rng.random(out=block)
+        np.greater_equal(block, fail, out=exists[a:a + len(block)])
     if forbid_low_risk_failures:
         exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
     rows, counts = _unique_rows(exists)

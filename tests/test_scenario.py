@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from mmseq.errors import ParseError, SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
-from mmseq.scenario import (Sample, Scenario, enumerate_all, load_sample,
-                            sample, save_sample, scenario_probability)
+from mmseq.scenario import (_BLOCK_ROWS, Sample, Scenario, enumerate_all,
+                            load_sample, sample, save_sample, scenario_probability)
 from mmseq.seeding import make_rng
 
 
@@ -154,6 +154,24 @@ def test_sample_matches_the_per_draw_reference(forbid):
     smp = sample(inst, 500, seed=7, forbid_low_risk_failures=forbid)
     assert smp == per_draw_sample(inst, 500, 7, forbid)
     assert smp != sample(inst, 500, seed=7, forbid_low_risk_failures=not forbid)
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("forbid", [False, True])
+def test_sample_drawn_in_blocks_matches_one_draw(n, forbid):
+    # failures frequent enough that the draws are nearly all distinct
+    probs = [0.45, 0.15] * 10
+    inst = Instance.of(5, (5,), [
+        Vehicle.of(v, False, (5,), p, HIGH_RISK if p >= 0.2 else LOW_RISK)
+        for v, p in enumerate(probs)])
+    # the same draw as one n x V block of variates
+    exists = make_rng(11).random((n, 20)) >= np.array(probs)
+    if forbid:
+        exists |= np.array(probs) < 0.2
+    rows, counts = np.unique(exists, axis=0, return_counts=True)
+    smp = sample(inst, n, seed=11, forbid_low_risk_failures=forbid)
+    assert smp == Sample(n=n, seed=11, existence=rows.T, weights=counts)
+    assert smp != sample(inst, n, seed=11, forbid_low_risk_failures=not forbid)
 
 
 @settings(max_examples=150, deadline=None)
