@@ -61,7 +61,29 @@ station's recursion forms, so int32 is exact where it is picked:
 Sums over stations, positions or vehicles (keys, probe deltas,
 Trajectory.value, root bounds and the exact search's prefix costs) are
 taken with dtype=np.int64, whatever the platform's default integer.
-greedy.construct keeps its own (K,) int64 arrays.
+greedy.construct keeps its own (K,) int64 arrays.  A row's overload
+over any set of positions is at most its overload over the stretch
+that spans them, so a probe's change per row, less the tail term
+below (at most cap), lies within +-2 * tick bound; a Trajectory
+weighs its rows with one int64 dot product when
+2 * tick bound * stations * N < 2**63, and exactly in Python
+integers otherwise.
+
+A probe can stop early once its move is proven too costly.  For one
+(scenario, station) row and fixed vehicles, let R_t(z) be the overload
+the recursion runs up from position t to the end, from entry state z.
+R_t is nondecreasing and 1-Lipschitz in z, under both regenerative
+settings.  Step entry states z >= z' through one position: max(., 0)
+and min(., cap) are nondecreasing and 1-Lipschitz, so
+0 <= s - s' <= z - z' and 0 <= z_next - z'_next <= s - s', and then
+w - w' = (s - s') - (z_next - z'_next) >= 0.  So
+(w - w') + (z_next - z'_next) = s - s' <= z - z', and at the
+regenerative last position w - w' = s - s' <= z - z' directly.  The sum
+over the positions from t telescopes to 0 <= R_t(z) - R_t(z') <= z - z'.
+Past a move's t2 both orders place the same vehicles, so per row the
+new order's overload from t on is at least the cached one less
+max(z_old[t] - z_new[t], 0), and partial_reevaluate weighs that into
+a lower bound on the move's delta.
 """
 
 from __future__ import annotations
@@ -268,8 +290,8 @@ class Objective:
         p = np.array([veh.processing_times for veh in instance.vehicles], dtype=np.int64)
         # the state dtype: int32 when the tick bound of the module
         # docstring proves every state value fits, else int64
-        bound = int((lengths + c + np.abs(p - c).sum(axis=0)).max())
-        dtype = np.int32 if bound < 2**31 else np.int64
+        self.tick_bound = int((lengths + c + np.abs(p - c).sum(axis=0)).max())
+        dtype = np.int32 if self.tick_bound < 2**31 else np.int64
         self.cap = (lengths - c).astype(dtype)
         # eta[v] = p[v] - c, vehicle v's eta at every station when it exists
         self.eta = (p - c).astype(dtype)
@@ -349,11 +371,14 @@ class Probe:
     """A move priced against a Trajectory: the moved order, the exact
     change of the weighted overload, and the windows [a, b) of positions
     the scan recomputed.  recomputed_positions counts the scanned
-    positions times the stations, the cells one scenario's scan visits."""
+    positions times the stations, the cells one scenario's scan visits.
+    A pruned probe's scan stopped at a limit: its delta is a lower bound
+    above the limit, and it cannot be committed."""
     order: tuple[int, ...]
     delta: int
     windows: tuple[tuple[int, int], ...]
     recomputed_positions: int
+    pruned: bool = False
 
 
 class Trajectory:
@@ -390,40 +415,83 @@ class Trajectory:
         self._z_rows = list(self.z)
         self._zbuf_rows = list(self._zbuf)
         self._wbuf_rows = list(self._wbuf)
+        # every entry _weigh_rows weighs lies within +-2 * tick_bound (the
+        # module docstring), so below this its int64 dot cannot wrap
+        self._dot_exact = 2 * objective.tick_bound * n_stations * objective.n < 2**63
         self._probe = None
-        self._scan(order, 0, T - 1, False)
+        # against the zero w, the scan's change is the order's overload
+        _, diff, _ = self._scan(order, 0, T - 1, False)
         self.z[1:] = self._zbuf[1:]
         self.w[:] = self._wbuf
-        self.value = objective._weigh(self.w.sum(axis=(0, 2), dtype=np.int64)[None, :])[0]
+        self.value = self._weigh_rows(diff)
 
-    def _scan(self, order, t1: int, t2: int, swap: bool):
+    def _scan(self, order, t1: int, t2: int, swap: bool, limit=None):
         """Run the recursion for order into the buffers from the cached
         entry state z[t1].  After t2 the scan stops at the first position
         whose entry state equals the cached one in every row; in a swap's
         unchanged interior (t1, t2) such a position bridges the scan to
-        t2.  Returns the scanned windows [a, b)."""
+        t2.  With a limit, it also stops at the first of t2 + 4, t2 + 8,
+        t2 + 16, ... where the lower bound of partial_reevaluate exceeds
+        the limit.
+
+        Returns (windows, diff, bound): the scanned windows [a, b), the
+        change of the overload over them per (scenario, station) row
+        (int64), and the weighted bound where it stopped the scan, else
+        None.
+        """
         z, zbuf, wbuf, eta = self._z_rows, self._zbuf_rows, self._wbuf_rows, self._eta_rows
         s, cap, last = self._s, self._cap, self._last
         T = len(order)
         windows = []
         a = t = t1
         zin = z[t1]
+        # diff sums the scanned positions before done, built at the first check
+        diff, done = None, t1
+        check = T if limit is None else t2 + 4
         while t < T:
             if ((t > t2 or swap and t1 < t < t2)
                     and zin.tobytes() == z[t].tobytes()):
                 windows.append((a, t))
                 if t > t2:
-                    return windows
+                    return windows, self._change(windows, done, diff), None
                 a = t = t2
                 zin = z[t2]
+            if t == check:
+                diff = self._change(windows + [(a, t)], done, diff)
+                done = t
+                tail = np.maximum(np.subtract(z[t], zin, out=s), 0, out=s)
+                bound = self._weigh_rows(diff - tail)
+                if bound > limit:
+                    windows.append((a, t))
+                    return windows, diff, bound
+                check = 2 * check - t2
             _, zin, _ = station_step(zin, eta[order[t]], cap, t == last,
                                      out=(s, zbuf[t + 1], wbuf[t]))
             t += 1
         windows.append((a, T))
-        return windows
+        return windows, self._change(windows, done, diff), None
+
+    def _weigh_rows(self, rows) -> int:
+        """sum_w n_w * (sum over stations of rows[w]), for a scenarios x
+        stations int64 array of overload changes, exactly."""
+        if self._dot_exact:
+            return int(rows.sum(axis=1) @ self.objective.weights)
+        return self.objective._weigh(rows.sum(axis=1)[None, :])[0]
+
+    def _change(self, windows, start: int, diff=None):
+        """diff (None for zero) plus the overload change of the scanned
+        positions >= start in windows, per (scenario, station) row (int64)."""
+        for a, b in windows:
+            a = max(a, start)
+            if a < b:
+                part = (self._wbuf[a:b] - self.w[a:b]).sum(axis=0, dtype=np.int64)
+                diff = part if diff is None else np.add(diff, part, out=diff)
+        return diff
 
     def commit(self, probe: Probe) -> None:
         """Move to the probed order; only the probed windows are copied."""
+        if probe.pruned:
+            raise StaleStateError("a pruned probe's scan stopped before the move's end")
         if probe is not self._probe:
             raise StaleStateError(
                 "probe was made against another order or overwritten by a later probe")
@@ -435,7 +503,8 @@ class Trajectory:
         self._probe = None
 
 
-def partial_reevaluate(trajectory: Trajectory, move: Move) -> tuple[Probe, int]:
+def partial_reevaluate(trajectory: Trajectory, move: Move,
+                       limit: int | None = None) -> tuple[Probe, int]:
     """Price a move against the cached trajectory, recomputing only what
     can have changed, for every scenario and station at once.
 
@@ -445,19 +514,29 @@ def partial_reevaluate(trajectory: Trajectory, move: Move) -> tuple[Probe, int]:
     matches the cached one in every (scenario, station) row; for swaps
     the same rule also bridges the untouched interior (t1, t2).
 
+    With a limit, the scan may stop earlier, once the move's delta is
+    proven to exceed the limit.  Past t2 both orders place the same
+    vehicles, and a row's overload from position t on is nondecreasing
+    and 1-Lipschitz in its entry state: stepping entry states z >= z',
+    (w - w') + (z_next - z'_next) = s - s' <= z - z', with every term
+    >= 0, and the sum telescopes (module docstring).  So the delta is
+    at least D(t) - sum_rows n_w * max(z_old[t] - z_new[t], 0), where
+    D(t) is the weighted overload change of the positions scanned
+    before t.  The scan tests that bound at t2 + 4, t2 + 8, t2 + 16,
+    ... and stops where it exceeds the limit.  The probe is then
+    pruned: its delta is that bound, in (limit, exact delta], and
+    commit refuses it.
+
     Returns (probe, weighted overload delta in ticks).  The probe lives
     in the trajectory's buffers until the next probe; commit applies it.
     """
     order = apply_to_order(trajectory.order, move)
-    windows = trajectory._scan(order, move.t1, move.t2, move.kind == SWAP)
-    diff = 0   # scenarios x stations
-    positions = 0
-    for a, b in windows:
-        diff = diff + (trajectory._wbuf[a:b] - trajectory.w[a:b]).sum(axis=0, dtype=np.int64)
-        positions += b - a
-    delta = trajectory.objective._weigh(diff.sum(axis=1)[None, :])[0]
-    probe = Probe(order, delta, tuple(windows),
-                  positions * trajectory.z.shape[2])
+    windows, diff, bound = trajectory._scan(order, move.t1, move.t2,
+                                            move.kind == SWAP, limit)
+    delta = trajectory._weigh_rows(diff) if bound is None else bound
+    positions = sum([b - a for a, b in windows])
+    probe = Probe(order, delta, tuple(windows), positions * trajectory.z.shape[2],
+                  pruned=bound is not None)
     trajectory._probe = probe
     return probe, delta
 

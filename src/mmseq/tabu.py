@@ -191,8 +191,11 @@ def _draw_move(rng, cdf, n: int, flags, tabu_enabled: bool,
 def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
                iters: int | None, seconds: float, history: list,
                best: dict, accept, cool=None) -> None:
-    """Shared inner loop.  accept(delta_ticksN) decides; best holds the
-    best-so-far (strictly better replaces; ties keep the earlier find)."""
+    """Shared inner loop.  accept(delta_ticksN) decides, and rejects
+    every delta above accept.limit when that is not None, so probes may
+    stop at that limit; spot-checked iterations probe exactly.  best
+    holds the best-so-far (strictly better replaces; ties keep the
+    earlier find)."""
     cdf = _cumulative(params.operator_weights)
     n = len(obj.order)
     deterministic = iters is not None
@@ -211,10 +214,12 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
         operator = "none"
         if move is not None:
             operator = move.kind
-            probe, delta = partial_reevaluate(obj.trajectory, move)
-            if (params.delta_check_every and
-                    it % params.delta_check_every == 0 and
-                    obj.reference_value(probe.order) != obj.value + delta):
+            checked = params.delta_check_every and it % params.delta_check_every == 0
+            if checked or accept.limit is None:
+                probe, delta = partial_reevaluate(obj.trajectory, move)
+            else:
+                probe, delta = partial_reevaluate(obj.trajectory, move, accept.limit)
+            if checked and obj.reference_value(probe.order) != obj.value + delta:
                 raise AssertionError("partial reevaluation delta mismatch")
             if accept(delta):
                 obj.commit(move, probe)
@@ -232,6 +237,9 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
 
 class _NonDeteriorating:
     tabu = True
+    # every delta above the limit is rejected, so a probe may stop once
+    # a bound proves its delta exceeds it
+    limit = 0
 
     def __call__(self, delta: int) -> bool:
         return delta <= 0
@@ -267,6 +275,8 @@ def search(instance: Instance, smp: Sample, start, params: SearchParams
 
 class _Metropolis:
     tabu = False
+    # any positive delta may be accepted at its exact value
+    limit = None
 
     def __init__(self, rng, t_init: float, to_tu):
         self.rng = rng

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -249,6 +250,32 @@ def test_objective_keys_are_exact_numerators():
         assert Objective(inst, scenarios).keys(orders) == want
 
 
+def test_trajectories_weigh_huge_counts_exactly():
+    inst = generate(preset_config(24, seed=22, size_class="small"))
+    smp = sample(inst, 40, seed=4)
+    # multiplicities so large that the int64 dot product would wrap
+    huge = Sample(n=3 * 2**61, seed=None, existence=smp.existence[:, :2],
+                  weights=[2**61, 2**62])
+    rng = make_rng(6)
+    traj = Objective(inst, huge).trajectory(random_order(rng, 24))
+    assert not traj._dot_exact
+    assert traj.value == reference_value(inst, traj.order, huge)
+    pruned = 0
+    for _ in range(40):
+        a, b = sorted(rng.choice(24, size=2, replace=False).tolist())
+        move = Move(MOVE_KINDS[int(rng.integers(4))], a, b)
+        probe, delta = partial_reevaluate(traj, move)
+        assert delta == reference_value(inst, probe.order, huge) - traj.value
+        limit = delta - 1 - abs(delta) // int(rng.integers(1, 8))   # past int64
+        limited, bound = partial_reevaluate(traj, move, limit)
+        pruned += limited.pruned
+        assert bound == delta if not limited.pruned else limit < bound <= delta
+        if rng.random() < 0.5:
+            probe, _ = partial_reevaluate(traj, move)
+            traj.commit(probe)
+    assert pruned > 0
+
+
 @pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7
 def test_scenario_sets_of_the_wrong_length_are_refused(n_vehicles):
     inst = generate(preset_config(7, seed=23, size_class="small"))
@@ -396,3 +423,43 @@ def test_probes_match_the_reference_recursion(seed, regen):
         if rng.random() < 0.5:   # rejected probes leave stale buffers behind
             traj.commit(probe)
             assert matches_reference(traj, inst, smp, regen)
+
+
+@pytest.mark.parametrize("regen", [True, False])
+@pytest.mark.parametrize("n_vehicles,size_class",
+                         [(10, "small"), (30, "large"), (60, "medium"), (120, "large")])
+def test_a_limited_probe_is_exact_or_a_bound_above_its_limit(n_vehicles, size_class, regen):
+    rng = make_rng(n_vehicles + regen)
+    inst = generate(preset_config(n_vehicles, seed=n_vehicles, size_class=size_class))
+    objective = Objective(inst, sample(inst, 30, seed=4), regen)
+    traj = objective.trajectory(random_order(rng, n_vehicles))
+    pruned = 0
+    for _ in range(150):
+        a, b = sorted(rng.choice(n_vehicles, size=2, replace=False).tolist())
+        move = Move(MOVE_KINDS[int(rng.integers(4))], a, b)
+        full, exact = partial_reevaluate(traj, move)
+        spread = abs(exact) + TU
+        limit = 0 if rng.random() < 0.25 else int(rng.integers(-spread, spread))
+        probe, value = partial_reevaluate(traj, move, limit)
+        assert probe.order == full.order
+        assert value == probe.delta
+        assert probe.recomputed_positions == inst.n_stations * sum(
+            b - a for a, b in probe.windows)
+        # the scanned cells hold the moved order's trajectory
+        moved = objective.trajectory(probe.order)
+        for a, b in probe.windows:
+            assert np.array_equal(traj._wbuf[a:b], moved.w[a:b])
+            assert np.array_equal(traj._zbuf[a + 1:b + 1], moved.z[a + 1:b + 1])
+        if probe.pruned:
+            pruned += 1
+            assert limit < value <= exact
+            assert probe.recomputed_positions < full.recomputed_positions
+            with pytest.raises(StaleStateError):
+                traj.commit(probe)
+        else:
+            assert value == exact
+            assert probe.windows == full.windows
+            if rng.random() < 0.3:
+                traj.commit(probe)
+                assert traj.value == objective.keys([probe.order])[0]
+    assert pruned > 0

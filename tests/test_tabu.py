@@ -262,6 +262,70 @@ def test_delta_spot_check_catches_a_wrong_delta(monkeypatch):
                                               delta_check_every=1))
 
 
+@pytest.mark.parametrize("n_vehicles,size_class", [(9, "medium"), (40, "large"),
+                                                   (200, "large")])
+def test_probe_limits_change_no_search(n_vehicles, size_class, monkeypatch):
+    # tabu-large's configuration: phases of 2 and 98 iterations
+    inst = generate(preset_config(n_vehicles, seed=8, size_class=size_class))
+    smp = sample(inst, 100, seed=9)
+    start, _ = construct(inst)
+    params = SearchParams(iters_one=2, iters_full=98, seed=0)
+    probe_move = mmseq.tabu.partial_reevaluate
+    limits, pruned = [], []
+
+    def recorded(trajectory, move, *limit):
+        limits.extend(limit)
+        probe, delta = probe_move(trajectory, move, *limit)
+        pruned.append(probe.pruned)
+        return probe, delta
+
+    def unlimited(trajectory, move, *limit):
+        return probe_move(trajectory, move)
+
+    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", recorded)
+    b1, h1 = search(inst, smp, start, params)
+    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", unlimited)
+    b2, h2 = search(inst, smp, start, params)
+    assert b1.order == b2.order
+    assert h1 == h2
+    assert limits and set(limits) == {0}
+    if n_vehicles > 9:
+        assert any(pruned)
+
+
+def test_annealing_probes_without_a_limit(monkeypatch):
+    # Metropolis accepts positive deltas at their exact value
+    inst, smp, start = small_setup(iseed=6)
+    probe_move = mmseq.tabu.partial_reevaluate
+    calls = []
+
+    def exact_only(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return probe_move(*args, **kwargs)
+
+    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", exact_only)
+    simulated_annealing(inst, smp, start, SAParams(seed=2), budget=200)
+    assert calls and set(n for n, _ in calls) == {2}
+    assert not any(kwargs for _, kwargs in calls)
+
+
+def test_spot_checked_iterations_probe_without_a_limit(monkeypatch):
+    inst, smp, start = small_setup(iseed=12)
+    probe_move = mmseq.tabu.partial_reevaluate
+    limited = []
+
+    def recorded(trajectory, move, *limit):
+        limited.append(bool(limit))
+        return probe_move(trajectory, move, *limit)
+
+    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", recorded)
+    _, history = search(inst, smp, start, SearchParams(iters_one=40, iters_full=160,
+                                                       seed=9, delta_check_every=3))
+    probed = [r.iteration for r in history if r.operator != "none"]
+    assert len(probed) == len(limited)
+    assert limited == [it % 3 != 0 for it in probed]
+
+
 def test_history_csv_format():
     rows = [HistoryRecord(1, None, "one", SWAP, True, 1.5),
             HistoryRecord(2, 0.25, "full", "none", False, 1.5)]
