@@ -23,8 +23,7 @@ from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                     SWAP, Move, apply_to_order)
 from .scenario import (Sample, Scenario, WeightedScenarios, enumerate_all,
                        load_sample, sample, save_sample, scenario_probability)
-from .tabu import (HistoryRecord, SAParams, SearchParams, history_csv,
-                   is_tabu, search, simulated_annealing)
+from .tabu import HistoryRecord, SearchParams, history_csv, is_tabu, search
 from .timeunits import TICKS_PER_TU, format_ticks, to_ticks
 
 __version__ = "0.1.0"

@@ -436,8 +436,11 @@ def solve_dsp(instance: Instance, x, scenario: Scenario,
 
 @dataclass(frozen=True)
 class ExactParams:
-    gap_tol: float = 0.0
-    time_limit: float | None = None
+    time_limit: float | None = None   # seconds; None runs to a proof
+
+    def __post_init__(self):
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be None or a number >= 0")
 
 
 @dataclass
@@ -647,8 +650,6 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     # bound, -depth, insertion, fixing matrix
     heap = [(0.0, 0, 0, np.full((nv, nv), -1, dtype=np.int8))]
     counter = 1
-    lb_final = None
-    out_of_time = False
 
     def open_bound():
         return min(heap[0][0] if heap else best_tu, best_tu)
@@ -656,17 +657,14 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     while heap:
         if params.time_limit is not None and \
                 time.perf_counter() - t0 > params.time_limit:
-            out_of_time = True
-            lb_final = open_bound()
+            stats.status = "time_limit"
             break
         bound, depth, _, fix = heappop(heap)
         if bound >= best_tu - margin:
-            lb_final = best_tu
             break
         stats.nodes += 1
         if close_exhaustively(fix):
-            if best_tu - open_bound() <= params.gap_tol:
-                lb_final = open_bound()
+            if open_bound() >= best_tu:
                 break
             continue
         res = master.solve(fix)
@@ -719,18 +717,10 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
                         heappush(heap, (node_bound, depth - 1, counter, child))
                         counter += 1
         master.maybe_evict()
-        if best_tu - open_bound() <= params.gap_tol:
-            lb_final = open_bound()
+        if open_bound() >= best_tu:
             break
 
-    if lb_final is None:                          # heap exhausted
-        lb_final = best_tu
-    if out_of_time:
-        stats.status = "time_limit"
-    elif best_tu - lb_final > max(margin, 1e-12):
-        stats.status = "gap_tol"
-    else:
-        stats.status = "optimal"
-        lb_final = best_tu
+    # without the time limit every exit has proved the incumbent optimal
+    lb_final = open_bound() if stats.status == "time_limit" else best_tu
     stats.wall_time = time.perf_counter() - t0
     return LShapedResult(Sequence(best_order), lb_final, best_tu, stats)

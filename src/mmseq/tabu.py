@@ -1,9 +1,11 @@
-"""Two-phase tabu search and a simulated-annealing baseline.
+"""Two-phase tabu search.
 
 Phase 1 improves the no-failure objective under a short budget; the
 phase-1 best is then re-evaluated under the scenario sample and phase 2
 continues on the sample objective.  Acceptance is non-deteriorating
-(plateau moves allowed), which lets the search walk equal-cost ridges.
+(plateau moves allowed), which lets the search walk equal-cost ridges;
+since every positive delta is rejected, a probe may stop as soon as a
+bound proves its delta positive.
 
 The tabu list is rule-based, not recency-based: a move is tabu when it
 would create back-to-back electric vehicles.  The per-operator rules
@@ -16,10 +18,10 @@ left of an EV, and a backward insertion can drag an EV next to one.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,11 +30,15 @@ from .evaluator import (Objective, Sequence, _check_vehicles, as_order, evaluate
 from .instance import Instance
 from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS, SWAP,
                     Move, apply_to_order)
-from .scenario import Sample, Scenario
+from .scenario import Sample
 from .seeding import make_rng
 from .timeunits import TICKS_PER_TU
 
 DEFAULT_WEIGHTS = (0.45, 0.10, 0.15, 0.30)  # swap, fwd-insert, bwd-insert, inversion
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, Integral) and value >= least
 
 
 @dataclass(frozen=True)
@@ -51,22 +57,16 @@ class SearchParams:
             raise ValueError("need four nonnegative operator weights")
         if abs(sum(self.operator_weights) - 1.0) > 1e-9:
             raise ValueError("operator weights must sum to 1")
-        if self.tau_one < 0 or self.tau_full < 0:
+        if not (self.tau_one >= 0 and self.tau_full >= 0):   # NaN never expires
             raise ValueError("phase budgets must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SAParams:
-    t_init: float = 10.0
-    alpha: float = 0.999
-    operator_weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.t_init <= 0:
-            raise ValueError("t_init must be positive")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        for name in ("iters_one", "iters_full"):
+            value = getattr(self, name)
+            if value is not None and not _is_count(value, 0):
+                raise ValueError(f"{name} must be None or an integer >= 0")
+        if not _is_count(self.max_tabu_redraws, 1):
+            raise ValueError("max_tabu_redraws must be an integer >= 1")
+        if not _is_count(self.delta_check_every, 0):
+            raise ValueError("delta_check_every must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,8 @@ class _Objective:
     def value(self) -> int:
         return self.trajectory.value
 
-    def tu(self, value: int | None = None) -> float:
-        v = self.value if value is None else value
-        return v / (self.smp.n * TICKS_PER_TU)
+    def tu(self) -> float:
+        return self.value / (self.smp.n * TICKS_PER_TU)
 
     def reference_value(self, order) -> int:
         """The numerator of order from the per-scenario reference recursion."""
@@ -173,8 +172,7 @@ def _draw_kind(rng, cdf) -> str:
     return MOVE_KINDS[bisect_right(cdf, rng.random())]
 
 
-def _draw_move(rng, cdf, n: int, flags, tabu_enabled: bool,
-               max_redraws: int) -> Move | None:
+def _draw_move(rng, cdf, n: int, flags, max_redraws: int) -> Move | None:
     for _ in range(max_redraws):
         kind = _draw_kind(rng, cdf)
         a = int(rng.integers(n))
@@ -182,7 +180,7 @@ def _draw_move(rng, cdf, n: int, flags, tabu_enabled: bool,
         if a == b:
             continue
         move = Move(kind, min(a, b), max(a, b))
-        if tabu_enabled and _tabu(flags, move):
+        if _tabu(flags, move):
             continue
         return move
     return None
@@ -190,12 +188,12 @@ def _draw_move(rng, cdf, n: int, flags, tabu_enabled: bool,
 
 def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
                iters: int | None, seconds: float, history: list,
-               best: dict, accept, cool=None) -> None:
-    """Shared inner loop.  accept(delta_ticksN) decides, and rejects
-    every delta above accept.limit when that is not None, so probes may
-    stop at that limit; spot-checked iterations probe exactly.  best
-    holds the best-so-far (strictly better replaces; ties keep the
-    earlier find)."""
+               best: dict) -> None:
+    """One phase of the tabu walk: draw a non-tabu move, accept it when
+    its delta is <= 0.  Every positive delta is rejected, so probes stop
+    at limit 0; iterations picked by delta_check_every probe exactly and
+    check the delta against the reference recursion.  best holds the
+    best-so-far (strictly better replaces; ties keep the earlier find)."""
     cdf = _cumulative(params.operator_weights)
     n = len(obj.order)
     deterministic = iters is not None
@@ -208,41 +206,28 @@ def _run_phase(obj: _Objective, rng, params: SearchParams, phase: str,
         elif time.perf_counter() - t0 >= seconds:
             break
         it += 1
-        move = _draw_move(rng, cdf, n, obj.flags,
-                          tabu_enabled=accept.tabu, max_redraws=params.max_tabu_redraws)
+        move = _draw_move(rng, cdf, n, obj.flags, params.max_tabu_redraws)
         accepted = False
         operator = "none"
         if move is not None:
             operator = move.kind
             checked = params.delta_check_every and it % params.delta_check_every == 0
-            if checked or accept.limit is None:
+            if checked:
                 probe, delta = partial_reevaluate(obj.trajectory, move)
+                if obj.reference_value(probe.order) != obj.value + delta:
+                    raise AssertionError("partial reevaluation delta mismatch")
             else:
-                probe, delta = partial_reevaluate(obj.trajectory, move, accept.limit)
-            if checked and obj.reference_value(probe.order) != obj.value + delta:
-                raise AssertionError("partial reevaluation delta mismatch")
-            if accept(delta):
+                probe, delta = partial_reevaluate(obj.trajectory, move, 0)
+            if delta <= 0:
                 obj.commit(move, probe)
                 accepted = True
                 if obj.value < best["value"]:
                     best["value"] = obj.value
                     best["order"] = obj.order
-        if cool is not None:
-            cool()
         history.append(HistoryRecord(
             iteration=it, elapsed=None if deterministic else time.perf_counter() - t0,
             phase=phase, operator=operator, accepted=accepted,
             objective=obj.tu()))
-
-
-class _NonDeteriorating:
-    tabu = True
-    # every delta above the limit is rejected, so a probe may stop once
-    # a bound proves its delta exceeds it
-    limit = 0
-
-    def __call__(self, delta: int) -> bool:
-        return delta <= 0
 
 
 def search(instance: Instance, smp: Sample, start, params: SearchParams
@@ -259,7 +244,7 @@ def search(instance: Instance, smp: Sample, start, params: SearchParams
     obj1 = _Objective(instance, start_order, one)
     best1 = {"order": obj1.order, "value": obj1.value}
     _run_phase(obj1, rng, params, "one", params.iters_one, params.tau_one,
-               history, best1, _NonDeteriorating())
+               history, best1)
 
     obj2 = _Objective(instance, best1["order"], smp)
     start_value = (obj2.value if best1["order"] == start_order
@@ -268,43 +253,7 @@ def search(instance: Instance, smp: Sample, start, params: SearchParams
     if obj2.value < best["value"]:
         best = {"order": obj2.order, "value": obj2.value}
     _run_phase(obj2, rng, params, "full", params.iters_full, params.tau_full,
-               history, best, _NonDeteriorating())
+               history, best)
 
     return Sequence(best["order"]), history
 
-
-class _Metropolis:
-    tabu = False
-    # any positive delta may be accepted at its exact value
-    limit = None
-
-    def __init__(self, rng, t_init: float, to_tu):
-        self.rng = rng
-        self.temp = t_init
-        self.to_tu = to_tu
-
-    def __call__(self, delta: int) -> bool:
-        if delta <= 0:
-            return True
-        return self.rng.random() < math.exp(-self.to_tu(delta) / self.temp)
-
-    def cool(self, alpha: float) -> None:
-        self.temp *= alpha
-
-
-def simulated_annealing(instance: Instance, smp: Sample, start,
-                        sa_params: SAParams, budget: int
-                        ) -> tuple[Sequence, list[HistoryRecord]]:
-    """Single-phase Metropolis walk over the same neighborhood, tabu rules
-    off, temperature cooled geometrically every iteration."""
-    start_order = as_order(start)
-    rng = make_rng(sa_params.seed)
-    history: list[HistoryRecord] = []
-    obj = _Objective(instance, start_order, smp)
-    best = {"order": obj.order, "value": obj.value}
-    params = SearchParams(operator_weights=sa_params.operator_weights,
-                          seed=sa_params.seed)
-    accept = _Metropolis(rng, sa_params.t_init, obj.tu)
-    _run_phase(obj, rng, params, "sa", budget, 0.0, history, best, accept,
-               cool=lambda: accept.cool(sa_params.alpha))
-    return Sequence(best["order"]), history

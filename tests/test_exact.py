@@ -609,15 +609,6 @@ def test_pooled_cuts_hold_at_the_incumbent():
         assert cut.value_at(xmat) <= q + 1e-6
 
 
-def test_gap_tolerance_stops_early_with_honest_bounds():
-    inst = generate(preset_config(7, seed=101, size_class="small"))
-    smp = sample(inst, 40, seed=201)
-    res = lshaped_solve(inst, smp, ExactParams(gap_tol=math.inf))
-    assert res.lower_bound <= res.upper_bound + 1e-12
-    assert res.stats.status in ("optimal", "gap_tol")
-    assert evaluate_expected(inst, res.sequence, smp) == res.upper_bound
-
-
 def test_time_limit_returns_valid_incumbent():
     inst = generate(preset_config(8, seed=102, size_class="small"))
     smp = sample(inst, 60, seed=202)
@@ -625,6 +616,13 @@ def test_time_limit_returns_valid_incumbent():
     assert res.stats.status == "time_limit"
     assert res.lower_bound <= res.upper_bound
     assert evaluate_expected(inst, res.sequence, smp) == res.upper_bound
+
+
+@pytest.mark.parametrize("time_limit", [float("nan"), -1.0])
+def test_exact_params_refuse_a_bad_time_limit(time_limit):
+    # a NaN limit never expires; a negative one stops before the root
+    with pytest.raises(ValueError, match="time_limit"):
+        ExactParams(time_limit=time_limit)
 
 
 @pytest.mark.parametrize("n_vehicles", [6, 9])      # the instance has 7

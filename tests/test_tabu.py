@@ -1,5 +1,6 @@
-"""Tabu rules, two-phase search, and the annealing baseline."""
+"""Tabu rules and the two-phase search."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -13,9 +14,8 @@ from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                          SWAP, Move, apply_to_order)
 from mmseq.scenario import Sample, sample
 from mmseq.seeding import make_rng
-from mmseq.tabu import (DEFAULT_WEIGHTS, HistoryRecord, SAParams, SearchParams,
-                        _cumulative, _draw_kind, _Metropolis, _tabu, history_csv,
-                        is_tabu, search, simulated_annealing)
+from mmseq.tabu import (DEFAULT_WEIGHTS, HistoryRecord, SearchParams, _cumulative,
+                        _draw_kind, _tabu, history_csv, is_tabu, search)
 
 from conftest import random_instance, worked_example
 
@@ -110,13 +110,17 @@ def test_search_params_validation():
         SearchParams(tau_one=-1.0)
 
 
-def test_sa_params_validation():
-    with pytest.raises(ValueError, match="t_init"):
-        SAParams(t_init=0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        SAParams(alpha=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        SAParams(alpha=0.0)
+@pytest.mark.parametrize("field,value", [
+    ("tau_one", float("nan")), ("tau_full", float("nan")),
+    ("iters_one", -3), ("iters_one", 2.5), ("iters_full", -1), ("iters_full", 2.0),
+    ("max_tabu_redraws", 0), ("max_tabu_redraws", 1.5),
+    ("delta_check_every", -1), ("delta_check_every", 0.5)])
+def test_search_params_refuse_bad_fields(field, value):
+    # each would run silently: zero iterations, an all-"none" history,
+    # a spot check on every iteration or a phase that never times out
+    name = "phase budgets" if field.startswith("tau") else field
+    with pytest.raises(ValueError, match=name):
+        SearchParams(**{field: value})
 
 
 # ---------------------------------------------------------------- search
@@ -293,20 +297,19 @@ def test_probe_limits_change_no_search(n_vehicles, size_class, monkeypatch):
         assert any(pruned)
 
 
-def test_annealing_probes_without_a_limit(monkeypatch):
-    # Metropolis accepts positive deltas at their exact value
-    inst, smp, start = small_setup(iseed=6)
-    probe_move = mmseq.tabu.partial_reevaluate
-    calls = []
-
-    def exact_only(*args, **kwargs):
-        calls.append((len(args), kwargs))
-        return probe_move(*args, **kwargs)
-
-    monkeypatch.setattr(mmseq.tabu, "partial_reevaluate", exact_only)
-    simulated_annealing(inst, smp, start, SAParams(seed=2), budget=200)
-    assert calls and set(n for n, _ in calls) == {2}
-    assert not any(kwargs for _, kwargs in calls)
+@pytest.mark.parametrize("n_vehicles,size_class,digest", [
+    (9, "medium", "280869cd0cc64cb5e5b1ea0270e99b77d4b6585e3550119207c35d8c4e2e6fdc"),
+    (40, "large", "737c483da5dbfc2794b3e750cece5eb7aa630c8b3434fbf13669388308aba02a"),
+    (200, "large", "e5d27651f41e08c39b27b83284c8ff7ae54924fed1ce572a25582c1aebf4cf81")])
+def test_search_output_is_pinned(n_vehicles, size_class, digest):
+    # sha256 of the order and history of tabu-large's configuration; a
+    # change to the random stream, the tabu rule or acceptance moves it
+    inst = generate(preset_config(n_vehicles, seed=8, size_class=size_class))
+    start, _ = construct(inst)
+    best, history = search(inst, sample(inst, 100, seed=9), start,
+                           SearchParams(iters_one=2, iters_full=98, seed=0))
+    text = repr(best.order) + "\n" + history_csv(history)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_spot_checked_iterations_probe_without_a_limit(monkeypatch):
@@ -335,78 +338,7 @@ def test_history_csv_format():
     assert lines[2] == "2,0.250,full,none,0,1.500000"
 
 
-# ------------------------------------------------------------- annealing
-
-def test_metropolis_accepts_downhill_and_plateau():
-    m = _Metropolis(make_rng(0), t_init=1.0, to_tu=lambda d: d / 1e4)
-    assert m(0)
-    assert m(-50_000)
-
-
-def test_metropolis_freezes_at_tiny_temperature():
-    m = _Metropolis(make_rng(0), t_init=1e-12, to_tu=lambda d: d / 1e4)
-    assert not any(m(10_000) for _ in range(200))
-
-
-def test_metropolis_acceptance_rate_tracks_temperature():
-    rng = make_rng(42)
-    m = _Metropolis(rng, t_init=2.0, to_tu=lambda d: d / 1e4)
-    # delta of 1 TU at temperature 2: acceptance probability exp(-0.5)
-    import math
-    hits = sum(m(10_000) for _ in range(4000)) / 4000
-    assert abs(hits - math.exp(-0.5)) < 0.03
-
-
-def test_metropolis_cooling_is_geometric():
-    m = _Metropolis(make_rng(0), t_init=10.0, to_tu=lambda d: d)
-    m.cool(0.5)
-    m.cool(0.5)
-    assert m.temp == pytest.approx(2.5)
-
-
-def test_sa_tiny_temperature_descends_monotonically():
-    inst, smp, start = small_setup(iseed=4)
-    _, history = simulated_annealing(inst, smp, start,
-                                     SAParams(t_init=1e-9, alpha=0.5, seed=3),
-                                     budget=300)
-    objs = [r.objective for r in history]
-    assert all(a >= b for a, b in zip(objs, objs[1:]))
-    assert all(r.phase == "sa" for r in history)
-
-
-def test_sa_deterministic():
-    inst, smp, start = small_setup()
-    b1, h1 = simulated_annealing(inst, smp, start, SAParams(seed=5), budget=150)
-    b2, h2 = simulated_annealing(inst, smp, start, SAParams(seed=5), budget=150)
-    assert b1.order == b2.order
-    assert h1 == h2
-
-
-def test_sa_never_returns_worse_than_start():
-    inst, smp, start = small_setup(iseed=6)
-    start_val = evaluate_expected(inst, start, smp)
-    best, _ = simulated_annealing(inst, smp, start, SAParams(seed=2), budget=400)
-    assert evaluate_expected(inst, best, smp) <= start_val
-
-
 # ------------------------------------------------- documented behaviors
-
-def test_tabu_beats_annealing_at_tight_budgets():
-    # equal tiny budgets, paired seeds: the guided search descends faster
-    # than the hot random walk (at long budgets the two converge together)
-    inst = generate(preset_config(7, seed=6, size_class="small"))
-    smp = sample(inst, 100, seed=2)
-    start, _ = construct(inst)
-    ts_vals, sa_vals = [], []
-    for s in range(30):
-        bt, _ = search(inst, smp, start,
-                       SearchParams(iters_one=10, iters_full=90, seed=s))
-        bs, _ = simulated_annealing(inst, smp, start, SAParams(seed=s),
-                                    budget=100)
-        ts_vals.append(evaluate_expected(inst, bt, smp))
-        sa_vals.append(evaluate_expected(inst, bs, smp))
-    assert sum(ts_vals) / 30 <= sum(sa_vals) / 30
-
 
 def test_medium_recipe_reaches_verified_optima():
     # single-scenario medium-profile instances at enumeration-verifiable
