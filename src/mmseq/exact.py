@@ -452,7 +452,6 @@ class SolveStats:
     root_bounds: list = field(default_factory=list)
     cut_pool: list = field(default_factory=list)
     status: str = "optimal"
-    wall_time: float | None = None
 
 
 class LShapedResult(NamedTuple):
@@ -722,5 +721,4 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
 
     # without the time limit every exit has proved the incumbent optimal
     lb_final = open_bound() if stats.status == "time_limit" else best_tu
-    stats.wall_time = time.perf_counter() - t0
     return LShapedResult(Sequence(best_order), lb_final, best_tu, stats)

@@ -16,6 +16,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import yaml
@@ -391,10 +392,16 @@ def _id(row: dict, context: str) -> int:
 
 
 def _ticks(value, key: str, context: str) -> int:
+    """A duration on the file's 1e-4 TU grid; finer digits are refused,
+    not rounded, so two different files never load as one instance."""
     try:
-        return to_ticks(str(value))
+        scaled = Decimal(str(value)) * TICKS_PER_TU
+        ticks = int(scaled)
     except (ArithmeticError, ValueError) as exc:
         raise _bad(context, key, value, "a duration") from exc
+    if scaled != scaled.to_integral_value():
+        raise _bad(context, key, value, "a multiple of 0.0001 TU")
+    return ticks
 
 
 def read_mapping(path) -> dict:
@@ -443,6 +450,8 @@ def load(path) -> Instance:
             failure_prob = float(failure_prob)
         except (TypeError, ValueError) as exc:
             raise _bad(ctx, "failure_prob", failure_prob, "a number") from exc
+        if quantize(failure_prob) != failure_prob:
+            raise _bad(ctx, "failure_prob", failure_prob, "a multiple of 0.0001")
         vehicles.append(Vehicle(
             id=_id(row, ctx),
             is_ev=is_ev,

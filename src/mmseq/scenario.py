@@ -13,27 +13,26 @@ columns are distinct, in lexicographic order, and weighted by int64
 draw counts; sums of integer tick values weighted by integer counts keep
 sample averages exact.  WeightedScenarios keeps (Scenario, weight)
 pairs, e.g. true probabilities, and derives the same arrays once.
-Scenario objects are built only where one is needed, e.g. by
-Sample.unique for the sample file.  `sample` draws its N x V variates
-in blocks of _BLOCK_ROWS rows straight into the bool existence matrix,
-the same stream as one N x V draw without its N x V floats, and finds
-the distinct rows by packing each into big-endian 64-bit words and
-lexsorting the words, which orders the rows lexicographically.
+Scenario objects are built only where one is needed: by Sample.unique
+for tabu search's reference spot check and the bench's draw check.
+`sample` draws its N x V variates in blocks of _BLOCK_ROWS rows
+straight into the bool existence matrix, the same stream as one N x V
+draw without its N x V floats, and finds the distinct rows by packing
+each into big-endian 64-bit words and lexsorting the words, which
+orders the rows lexicographically.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, SizeGuardError
-from .instance import Instance, read_mapping
+from .errors import SizeGuardError
+from .instance import Instance
 from .seeding import make_rng
 
 ENUMERATION_GUARD = 20
@@ -41,8 +40,6 @@ ENUMERATION_GUARD = 20
 # draws per block of uniform variates in sample: 4096 x V float64 at a
 # time instead of N x V (1.6 GB at N = 10^6, V = 200)
 _BLOCK_ROWS = 4096
-
-FORMAT_VERSION = "mms-sample/1"
 
 
 @dataclass(frozen=True)
@@ -62,17 +59,6 @@ class Scenario:
     def from_flags(cls, flags) -> "Scenario":
         """The scenario of one bool column of an existence matrix."""
         return cls(tuple(np.asarray(flags, dtype=np.int8).tolist()))
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "Scenario":
-        return cls(tuple(int(b) for b in bits))
-
-    def bits(self) -> str:
-        return "".join(str(e) for e in self.exists)
-
-    @property
-    def n_existing(self) -> int:
-        return sum(self.exists)
 
 
 def scenario_probability(instance: Instance, scenario: Scenario) -> float:
@@ -239,65 +225,3 @@ def enumerate_all(instance: Instance) -> Iterator[tuple[Scenario, float]]:
     for bits in itertools.product((0, 1), repeat=n):
         s = Scenario(bits)
         yield s, scenario_probability(instance, s)
-
-
-# ---------------------------------------------------------------------------
-# file I/O
-
-def save_sample(smp: Sample, path) -> None:
-    lines = [f"version: {FORMAT_VERSION}",
-             f"seed: {'null' if smp.seed is None else smp.seed}",
-             f"n: {smp.n}",
-             "scenarios:"]
-    for s, count in smp.unique:
-        lines.append(f"- {{bits: \"{s.bits()}\", count: {count}}}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _integer(value, field: str, path) -> int:
-    """A YAML integer; bools and floats are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: bad {field} {value!r}, expected an integer")
-    return value
-
-
-def _int64(value, field: str, path) -> int:
-    """A YAML integer that an int64 count array can hold."""
-    value = _integer(value, field, path)
-    if not -2**63 <= value < 2**63:
-        raise ParseError(f"{path}: bad {field} {value!r}, expected an integer "
-                         "below 2**63")
-    return value
-
-
-def load_sample(path) -> Sample:
-    doc = read_mapping(path)
-    for key in ("version", "seed", "n", "scenarios"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing required field '{key}'")
-    if doc["version"] != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported version {doc['version']!r}")
-    extra = sorted(set(doc) - {"version", "seed", "n", "scenarios"})
-    if extra:
-        warnings.warn(f"{path}: ignoring unknown fields {extra}", stacklevel=2)
-    rows, seed = doc["scenarios"], doc["seed"]
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{path}: bad scenarios {rows!r}, expected a non-empty list")
-    if seed is not None:
-        seed = _integer(seed, "seed", path)
-    bits, counts = [], []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "bits" not in row or "count" not in row:
-            raise ParseError(f"{path}: scenarios[{i}]: need fields bits, count")
-        bits.append(str(row["bits"]))
-        if bits[-1].strip("01") or len(bits[-1]) != len(bits[0]):
-            raise ParseError(f"{path}: bad scenarios[{i}].bits {bits[-1]!r}, expected "
-                             f"a string of {len(bits[0])} 0s and 1s")
-        counts.append(_int64(row["count"], f"scenarios[{i}].count", path))
-    text = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
-    flags = text.reshape(len(bits), len(bits[0])) == ord("1")
-    try:
-        return Sample(n=_int64(doc["n"], "n", path), seed=seed,
-                      existence=flags.T, weights=counts)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc

@@ -30,8 +30,8 @@ import numpy as np
 from .evaluator import (Objective, Sequence, Trajectory, _check_vehicles, as_order,
                         evaluate, partial_reevaluate)
 from .instance import Instance
-from .moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS, SWAP,
-                    Move, apply_to_order)
+from .moves import (INSERT_BACKWARD, INSERT_FORWARD, MOVE_KINDS, SWAP, Move,
+                    apply_to_order)
 from .scenario import Sample
 from .seeding import make_rng
 

@@ -1,0 +1,38 @@
+"""Every name a module imports is read somewhere in that module.
+
+There is no linter in the test run, and deleting code tends to leave its
+imports behind.  The package's __init__ imports names to export them, so
+it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmseq"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path\nimport numpy as np\n"
+                          "from math import inf, pi\nx = np.zeros(1) + pi\n") \
+        == ["inf", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,7 @@
 """Instance model, generator, and file round-trips."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -187,10 +188,30 @@ def test_load_rejects_malformed_yaml(tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("value", ["2001-13-45", "!!float x"])
+@pytest.mark.parametrize("value", ["2001-13-45", "!!float x", "!!int x"])
 def test_load_rejects_unbuildable_scalars(tmp_path, value):
     # PyYAML builds these with a bare ValueError: no such date, bad tag
     path = tmp_path / "bad.yaml"
     path.write_text(f"version: mms-instance/1\ncycle_time: {value}\n")
     with pytest.raises(ParseError, match="bad.yaml"):
+        load(path)
+
+
+@pytest.mark.parametrize("prefix, where", [
+    ("cycle_time: ", "bad cycle_time"),
+    ("length: ", "stations[0]: bad length"),
+    ("processing_times: [", "vehicles[0]: bad processing_times[0]"),
+    ("failure_prob: ", "vehicles[0]: bad failure_prob"),
+])
+def test_load_refuses_values_finer_than_the_grid(tmp_path, prefix, where):
+    # rounding 97.00004 to 97.0000 would give two files one digest
+    inst = generate(preset_config(8, seed=0))
+    path = tmp_path / "inst.yaml"
+    save(inst, path)
+    text = path.read_text()
+    number = re.compile(rf"(?<={re.escape(prefix)})[0-9.]+")
+    path.write_text(number.sub(r"\g<0>0", text, count=1))
+    assert load(path) == inst                  # a trailing zero is on the grid
+    path.write_text(number.sub(r"\g<0>4", text, count=1))
+    with pytest.raises(ParseError, match=re.escape(where)):
         load(path)

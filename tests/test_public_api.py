@@ -14,10 +14,10 @@ PUBLIC_NAMES = [
     "WeightedScenarios", "apply_to_order", "construct", "enumerate_all",
     "enumerate_optimal", "enumeration_solver", "ev_position_pattern", "evaluate",
     "evaluate_expected", "evaluate_weighted", "format_ticks", "full_information",
-    "generate", "history_csv", "instance_digest", "is_tabu", "load", "load_sample",
+    "generate", "history_csv", "instance_digest", "is_tabu", "load",
     "lshaped_solve", "lshaped_solver", "mrp", "mrp_integrated_saa",
     "partial_reevaluate", "preset_config", "recourse_lp", "sample", "save",
-    "save_sample", "scenario_probability", "search", "solve_dsp", "solve_lp",
+    "scenario_probability", "search", "solve_dsp", "solve_lp",
     "t_quantile", "tabu_solver", "to_ticks", "trace_csv", "validate",
 ]
 
