@@ -26,10 +26,13 @@ from .seeding import derive_seed
 SAASolver = Callable[[Instance, Sample, int], tuple[Sequence, float]]
 
 # scipy.stats.t.ppf calls scipy.special.stdtrit, the ufunc defined in
-# the _ufuncs extension.  Loading that extension alone spares `import
-# mmseq` the scipy.special package (about 0.24 s and 14 MB) and
-# scipy.stats (another 0.7 s and 46 MB).
-stdtrit = _scipy.load("scipy.special._ufuncs").stdtrit
+# the _ufuncs extension.  Loading that extension alone spares a gap
+# bound the scipy.special package (about 0.24 s and 14 MB) and
+# scipy.stats (another 0.7 s and 46 MB); loading it on the first
+# t_quantile spares every run that bounds no gap the extension and the
+# base scipy package it imports too (about 25 ms and 5 MB on a 2-core
+# host).
+_UFUNCS = "scipy.special._ufuncs"
 
 
 def t_quantile(alpha: float, dof: int) -> float:
@@ -38,7 +41,7 @@ def t_quantile(alpha: float, dof: int) -> float:
         raise ValueError("degrees of freedom must be at least 1")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    return float(stdtrit(dof, 1.0 - alpha))
+    return float(_scipy.load(_UFUNCS).stdtrit(dof, 1.0 - alpha))
 
 
 @dataclass(frozen=True)

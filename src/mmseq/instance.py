@@ -16,7 +16,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from pathlib import Path
 
 import yaml
@@ -393,15 +393,24 @@ def _id(row: dict, context: str) -> int:
 
 def _ticks(value, key: str, context: str) -> int:
     """A duration on the file's 1e-4 TU grid; finer digits are refused,
-    not rounded, so two different files never load as one instance."""
+    not rounded, so two different files never load as one instance.  The
+    grid test multiplies at the precision of the value's own digits, so
+    no digit is rounded away before it.  A magnitude past MAX_DURATION
+    loads as one tick past it, for validate to refuse, without first
+    building the integer of a value such as 1e300000."""
     try:
-        scaled = Decimal(str(value)) * TICKS_PER_TU
-        ticks = int(scaled)
-    except (ArithmeticError, ValueError) as exc:
+        exact = Decimal(str(value))
+    except ArithmeticError as exc:
         raise _bad(context, key, value, "a duration") from exc
+    if not exact.is_finite():
+        raise _bad(context, key, value, "a duration")
+    if abs(exact) > MAX_DURATION // TICKS_PER_TU:
+        return -(MAX_DURATION + 1) if exact < 0 else MAX_DURATION + 1
+    digits = len(exact.as_tuple().digits) + len(str(TICKS_PER_TU))
+    scaled = Context(prec=digits).multiply(exact, TICKS_PER_TU)
     if scaled != scaled.to_integral_value():
         raise _bad(context, key, value, "a multiple of 0.0001 TU")
-    return ticks
+    return int(scaled)
 
 
 def read_mapping(path) -> dict:

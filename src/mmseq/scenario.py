@@ -15,11 +15,11 @@ sample averages exact.  WeightedScenarios keeps (Scenario, weight)
 pairs, e.g. true probabilities, and derives the same arrays once.
 Scenario objects are built only where one is needed: by Sample.unique
 for tabu search's reference spot check and the bench's draw check.
-`sample` draws its N x V variates in blocks of _BLOCK_ROWS rows
-straight into the bool existence matrix, the same stream as one N x V
-draw without its N x V floats, and finds the distinct rows by packing
-each into big-endian 64-bit words and lexsorting the words, which
-orders the rows lexicographically.
+`sample` draws its N x V variates in blocks of at most _BLOCK_BYTES
+bytes of floats straight into the bool existence matrix, the same
+stream as one N x V draw without its N x V floats, and finds the
+distinct rows by packing each into big-endian 64-bit words and
+lexsorting the words, which orders the rows lexicographically.
 """
 
 from __future__ import annotations
@@ -37,9 +37,14 @@ from .seeding import make_rng
 
 ENUMERATION_GUARD = 20
 
-# draws per block of uniform variates in sample: 4096 x V float64 at a
-# time instead of N x V (1.6 GB at N = 10^6, V = 200)
-_BLOCK_ROWS = 4096
+# bytes of uniform variates per block in sample, in whole rows, at least
+# one: 1310 rows at V = 200, where one N x V draw would take 1.6 GB at
+# N = 10^6.  Freeing the block also sets glibc's heap trim threshold to
+# twice its size.  With 512 KB blocks, the 1.9 MB of trajectory arrays
+# a tabu search allocates at V = 200 and 95 scenarios went back to the
+# system after each search and were faulted in again by the next, about
+# 500 page faults (1.6 ms) per round of the bench's tabu-large workload.
+_BLOCK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,10 @@ def sample(instance: Instance, n: int, seed: int,
     rng = make_rng(seed)
     fail = np.array([veh.failure_prob for veh in instance.vehicles])
     exists = np.empty((n, instance.n_vehicles), dtype=bool)
-    u = np.empty((min(n, _BLOCK_ROWS), instance.n_vehicles))
-    for a in range(0, n, _BLOCK_ROWS):
-        block = u[:min(_BLOCK_ROWS, n - a)]
+    rows = max(1, _BLOCK_BYTES // (8 * instance.n_vehicles))
+    u = np.empty((min(n, rows), instance.n_vehicles))
+    for a in range(0, n, rows):
+        block = u[:min(rows, n - a)]
         rng.random(out=block)
         np.greater_equal(block, fail, out=exists[a:a + len(block)])
     if forbid_low_risk_failures:

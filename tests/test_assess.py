@@ -1,5 +1,6 @@
 """Replication-based gap assessment and the integrated sizing loop."""
 
+import json
 import math
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from mmseq.assess import (MRPReport, ReplicationRow, SAAOutcome,
                           enumeration_solver, lshaped_solver, mrp,
                           mrp_integrated_saa, t_quantile, tabu_solver)
+from mmseq.cli import format_solution
 from mmseq.errors import MMSeqError
 from mmseq.evaluator import Sequence, evaluate_expected
 from mmseq.exact import enumerate_optimal
 from mmseq.greedy import construct
-from mmseq.instance import HIGH_RISK, Instance, Vehicle, generate, preset_config
+from mmseq.instance import (HIGH_RISK, Instance, Vehicle, generate, preset_config,
+                            save)
 from mmseq.scenario import Sample, sample
 from mmseq.tabu import SearchParams
 
@@ -39,25 +42,57 @@ def test_t_quantile_matches_scipy_stats():
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor the scipy.optimize package that vendors HiGHS, nor the
-    # scipy.special package around stdtrit, nor what either pulls in
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-             "scipy.special", "scipy._lib._array_api", "numpy.f2py",
-             "numpy.testing")
+    # nor any other scipy module: each extension loads on its first call
     out = run_fresh("import sys, mmseq, mmseq.cli; "
-                    f"print([m for m in {heavy!r} if m in sys.modules], "
-                    "'scipy.special._ufuncs' in sys.modules)")
-    assert out.split() == ["[]", "True"]
+                    "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert out.split() == ["[]"]
+
+
+HIGHS, UFUNCS = "scipy.optimize._highspy._core", "scipy.special._ufuncs"
+# the packages around the two extensions, and what they pull in
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+         "scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+
+
+@pytest.mark.parametrize("argv, extensions", [
+    (["solve", "--method", "ts", "--iters", "60"], set()),
+    (["solve", "--method", "greedy"], set()),
+    (["solve", "--method", "enum"], set()),
+    (["compare", "--method", "ts", "--iters", "60", "--eval-size", "50"], set()),
+    (["solve", "--method", "lshaped", "--time-limit", "30"], {HIGHS}),
+    (["assess", "--method", "enum", "--replications", "2"], {UFUNCS}),
+])
+def test_a_run_loads_only_the_scipy_extensions_it_calls(tmp_path, argv, extensions):
+    inst = generate(preset_config(7, seed=100, size_class="small"))
+    instance, solution = tmp_path / "inst.yaml", tmp_path / "sol.txt"
+    save(inst, instance)
+    solution.write_text(format_solution(inst, range(7), 0))
+    argv = [*argv, "--instance", str(instance), "--sample-size", "20",
+            "--deterministic"]
+    if argv[0] == "assess":
+        argv += ["--solution", str(solution)]
+    out = run_fresh("import json, sys, mmseq.cli\n"
+                    f"rc = mmseq.cli.main({argv!r})\n"
+                    "print(json.dumps([rc, [m for m in sys.modules if m.startswith('scipy')]]))")
+    rc, loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert {HIGHS, UFUNCS} & set(loaded) == extensions
+    assert [m for m in HEAVY if m in loaded] == []
+    if not extensions:
+        assert loaded == []
 
 
 def test_scipy_stats_after_mmseq_uses_its_stdtrit():
     out = run_fresh(
-        "import mmseq, scipy.special, scipy.stats\n"
+        "import sys, mmseq\n"
+        "mmseq.t_quantile(0.05, 29)\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "import scipy.special, scipy.stats\n"
         f"grid = {T_GRID!r}\n"
         "print(all(mmseq.t_quantile(alpha, dof)\n"
         "          == float(scipy.stats.t.ppf(1 - alpha, dof))\n"
         "          for dof, alpha in grid),\n"
-        "      scipy.special.stdtrit is mmseq.assess.stdtrit)")
+        "      scipy.special.stdtrit is ufuncs.stdtrit)")
     assert out.split() == ["True", "True"]
 
 
@@ -67,8 +102,8 @@ def test_mmseq_reuses_ufuncs_loaded_by_scipy_stats():
         "ufuncs = sys.modules['scipy.special._ufuncs']\n"
         "import mmseq\n"
         "print(mmseq._scipy.load('scipy.special._ufuncs') is ufuncs,\n"
-        "      mmseq.assess.stdtrit is ufuncs.stdtrit,\n"
-        "      mmseq.t_quantile(0.05, 29) == float(scipy.stats.t.ppf(0.95, 29)))")
+        "      mmseq.t_quantile(0.05, 29) == float(scipy.stats.t.ppf(0.95, 29)),\n"
+        "      sys.modules['scipy.special._ufuncs'] is ufuncs)")
     assert out.split() == ["True", "True", "True"]
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mmseq.cli import main
 from mmseq.errors import ConfigError, ParseError
 from mmseq.instance import (HIGH_RISK, Station, Vehicle, generate,
                             instance_digest, load, preset_config, save,
@@ -215,3 +216,41 @@ def test_load_refuses_values_finer_than_the_grid(tmp_path, prefix, where):
     path.write_text(number.sub(r"\g<0>4", text, count=1))
     with pytest.raises(ParseError, match=re.escape(where)):
         load(path)
+
+
+def _solve_greedy(capsys, path):
+    rc = main(["solve", "--instance", str(path), "--method", "greedy"])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix, where", [
+    ("cycle_time: ", "bad cycle_time"),
+    ("length: ", "stations[0]: bad length"),
+    ("processing_times: [", "vehicles[0]: bad processing_times[0]"),
+])
+def test_load_refuses_a_grid_digit_past_decimal_precision(tmp_path, capsys, prefix, where):
+    # decimal's default 28 digits would round the 1 away and load 97.0000
+    path = tmp_path / "inst.yaml"
+    save(generate(preset_config(8, seed=0)), path)
+    number = re.compile(rf"(?<={re.escape(prefix)})[0-9.]+")
+    path.write_text(number.sub(r'"\g<0>' + "0" * 24 + '1"', path.read_text(), count=1))
+    with pytest.raises(ParseError, match=re.escape(where)):
+        load(path)
+    rc, err = _solve_greedy(capsys, path)
+    assert rc == 2 and where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, where", [
+    ('"1e300000"', "station 0: length must be at most 1000000 TU"),
+    ('"-1e300000"', "station 0: length must be positive"),
+    ("1e+999999", "station 0: length must be at most 1000000 TU"),
+])
+def test_load_refuses_a_huge_exponent_by_the_duration_bound(tmp_path, capsys, value, where):
+    path = tmp_path / "inst.yaml"
+    save(generate(preset_config(8, seed=0)), path)
+    number = re.compile(r"(?<=length: )[0-9.]+")
+    path.write_text(number.sub(value, path.read_text(), count=1))
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load(path)
+    rc, err = _solve_greedy(capsys, path)
+    assert rc == 2 and where in err

@@ -126,23 +126,29 @@ def test_shape_and_sense_validation():
 def test_scipy_optimize_solves_after_mmseq_loads_highs():
     # min x + 2y  s.t.  x + y >= 1.5: 1.5 relaxed, 2 with x, y integer
     out = run_fresh(
-        "import sys, mmseq, scipy.optimize as so\n"
+        "import sys, mmseq\n"
+        "before = 'scipy.optimize._highspy._core' in sys.modules\n"
+        "mmseq.solve_lp(mmseq.LinearProgram([1.0], [[1.0]], ('<=',), [1.0],\n"
+        "                                   [0.0], [1.0]))\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "import scipy.optimize as so\n"
         "lp = so.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1.5], method='highs')\n"
         "mip = so.milp([1, 2], integrality=[1, 1], bounds=so.Bounds(0, 5),\n"
         "              constraints=so.LinearConstraint([[1, 1]], lb=1.5))\n"
-        "print(lp.status, lp.fun, mip.status, mip.fun,\n"
-        "      sys.modules['scipy.optimize._highspy._core'] is mmseq.lp._highs)")
-    assert out.split() == ["0", "1.5", "0", "2.0", "True"]
+        "print(before, lp.status, lp.fun, mip.status, mip.fun,\n"
+        "      sys.modules['scipy.optimize._highspy._core'] is core)")
+    assert out.split() == ["False", "0", "1.5", "0", "2.0", "True"]
 
 
 def test_mmseq_shares_highs_loaded_by_scipy_optimize():
     out = run_fresh(
         "import sys, scipy.optimize\n"
         "core = sys.modules['scipy.optimize._highspy._core']\n"
-        "from mmseq.lp import LE, LinearProgram, _highs, solve_lp\n"
+        "from mmseq.lp import LE, LinearProgram, solve_lp\n"
         "res = solve_lp(LinearProgram([1.0, 2.0], [[-1.0, -1.0]], (LE,), [-1.5],\n"
         "                             [0.0, 0.0], [5.0, 5.0]))\n"
-        "print(_highs is core, res.status, res.objective)")
+        "print(sys.modules['scipy.optimize._highspy._core'] is core,\n"
+        "      res.status, res.objective)")
     assert out.split() == ["True", OPTIMAL, "1.5"]
 
 
@@ -180,10 +186,13 @@ def test_highs_loader_unregisters_a_module_that_fails(monkeypatch):
 
 
 def test_highs_loader_returns_the_registered_module(tmp_path, monkeypatch):
+    core = mmseq._scipy.load(HIGHS)
     # scipy's directory is now tmp_path, which holds no extension: only
     # the sys.modules entry can answer
     monkeypatch.setattr(mmseq._scipy, "_SCIPY_DIR", str(tmp_path))
-    assert mmseq._scipy.load(HIGHS) is mmseq.lp._highs
+    assert mmseq._scipy.load(HIGHS) is core
+    assert solve_lp(LinearProgram(objective=[1.0], a=[[1.0]], senses=(LE,), rhs=[1.0],
+                                  lower=[0.0], upper=[1.0])).status == OPTIMAL
 
 
 def test_a_failed_load_leaves_no_scipy_special_entry():
@@ -199,8 +208,9 @@ def test_a_failed_load_leaves_no_scipy_special_entry():
         "        print(sum(m.startswith('scipy.special.') for m in sys.modules))\n"
         "        raise ImportError('init failed')\n"
         "ExtensionFileLoader.exec_module = fail\n"
+        "import mmseq\n"
         "try:\n"
-        "    import mmseq\n"
+        "    mmseq.t_quantile(0.05, 29)\n"
         "except ImportError as exc:\n"
         "    print(exc)\n"
         "print([m for m in sys.modules if m.startswith('scipy.special')])\n")

@@ -6,12 +6,15 @@ CLI's `auto` sends to it."""
 import numpy as np
 import pytest
 
+from mmseq import _scipy
 from mmseq.evaluator import Objective
 from mmseq.exact import enumerate_optimal, root_bound
 from mmseq.instance import generate, preset_config
-from mmseq.lp import _highs
+from mmseq.lp import _HIGHS
 from mmseq.scenario import sample
 from mmseq.timeunits import TICKS_PER_TU
+
+_highs = _scipy.load(_HIGHS)        # the bindings the LP layer drives
 
 
 def deterministic_equivalent(instance, smp):

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mmseq.errors import SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
-from mmseq.scenario import (_BLOCK_ROWS, Sample, Scenario, enumerate_all,
-                            sample, scenario_probability)
+import mmseq.scenario
+from mmseq.scenario import (Sample, Scenario, enumerate_all, sample,
+                            scenario_probability)
 from mmseq.seeding import make_rng
 
 
@@ -151,7 +152,7 @@ def test_sample_matches_the_per_draw_reference(forbid):
     assert smp != sample(inst, 500, seed=7, forbid_low_risk_failures=not forbid)
 
 
-@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [4095, 4096, 4097])
 @pytest.mark.parametrize("forbid", [False, True])
 def test_sample_drawn_in_blocks_matches_one_draw(n, forbid):
     # failures frequent enough that the draws are nearly all distinct
@@ -167,6 +168,25 @@ def test_sample_drawn_in_blocks_matches_one_draw(n, forbid):
     smp = sample(inst, n, seed=11, forbid_low_risk_failures=forbid)
     assert smp == Sample(n=n, seed=11, existence=rows.T, weights=counts)
     assert smp != sample(inst, n, seed=11, forbid_low_risk_failures=not forbid)
+
+
+def _sample_bytes(inst, n, seed, forbid, block_bytes, monkeypatch):
+    monkeypatch.setattr(mmseq.scenario, "_BLOCK_BYTES", block_bytes)
+    smp = sample(inst, n, seed, forbid_low_risk_failures=forbid)
+    return smp.existence.tobytes() + smp.weights.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256, None])   # None: the default bound
+@pytest.mark.parametrize("forbid", [False, True])
+def test_sample_bytes_do_not_depend_on_the_block_bound(block_rows, forbid, monkeypatch):
+    inst = generate(preset_config(200, seed=8, size_class="large"))
+    row_bytes = 8 * inst.n_vehicles
+    bound = (mmseq.scenario._BLOCK_BYTES if block_rows is None
+             else block_rows * row_bytes)
+    rows = bound // row_bytes
+    for n in sorted({rows - 1, rows, rows + 1, 3000} - {0}):
+        whole = _sample_bytes(inst, n, 5, forbid, n * row_bytes, monkeypatch)
+        assert _sample_bytes(inst, n, 5, forbid, bound, monkeypatch) == whole
 
 
 @settings(max_examples=150, deadline=None)

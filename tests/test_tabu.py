@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                          SWAP, Move, apply_to_order)
 from mmseq.scenario import Sample, sample
 from mmseq.seeding import make_rng
-from mmseq.tabu import (DEFAULT_WEIGHTS, HistoryRecord, SearchParams, _cumulative,
+from mmseq.tabu import (DEFAULT_WEIGHTS, History, HistoryRecord, SearchParams, _cumulative,
                         _draw_kind, _tabu, history_csv, is_tabu, search)
 
 from conftest import random_instance, worked_example
@@ -146,7 +147,7 @@ def test_search_zero_iterations_returns_start():
     best, history = search(inst, smp, start,
                            SearchParams(iters_one=0, iters_full=0, seed=0))
     assert best.order == start.order
-    assert history == []
+    assert len(history) == 0
 
 
 def test_search_keeps_an_optimal_start():
@@ -338,6 +339,42 @@ def test_history_csv_format():
     assert lines[0] == "iteration,elapsed,phase,operator,accepted,objective"
     assert lines[1] == "1,,one,swap,1,1.500000"
     assert lines[2] == "2,0.250,full,none,0,1.500000"
+
+
+def test_history_reads_back_the_rows_appended():
+    rows = [HistoryRecord(it, elapsed, phase, op, acc, obj)
+            for it, (elapsed, phase, op, acc, obj) in enumerate(itertools.product(
+                (None, 0.0, 1.25e-7, 590.0004), ("one", "full"), ("none",) + MOVE_KINDS,
+                (False, True), (0.0, 45.78125, 1e300)), start=1)]
+    history = History()
+    for r in rows:
+        history.append(r.iteration, r.elapsed, r.phase, r.operator, r.accepted,
+                       r.objective)
+    assert len(history) == len(rows)
+    assert list(history) == rows
+    assert history[0] == rows[0] and history[-1] == rows[-1]
+    assert history_csv(history) == history_csv(rows)
+    with pytest.raises(IndexError):
+        history[len(rows)]
+
+
+def test_history_keeps_at_most_32_bytes_a_row():
+    history = History()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for it in range(1, 50_001):
+            history.append(it, it * 1e-4, "full", SWAP, it % 3 == 0, 1000.0 / it)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 32 * len(history)
+
+
+def test_search_returns_a_compact_history():
+    inst, smp, start = small_setup()
+    _, history = search(inst, smp, start, SearchParams(iters_one=5, iters_full=5, seed=0))
+    assert isinstance(history, History) and len(history) == 10
 
 
 # ------------------------------------------------- documented behaviors
