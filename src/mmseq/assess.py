@@ -3,16 +3,14 @@
 The multiple replication procedure draws M fresh samples, solves each
 replication's sampled problem, and contrasts the candidate's
 out-of-sample cost with the replication optimum; the normalized
-one-sided confidence bound on the optimality gap follows.  The
-integrated variant walks an ascending list of generation sample sizes
-and stops at the first candidate whose bound clears the threshold.
+one-sided confidence bound on the optimality gap follows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import _scipy
 from .errors import MMSeqError, SizeGuardError
@@ -132,54 +130,6 @@ def mrp(instance: Instance, candidate, solver: SAASolver, *,
         zhat_m = evaluate_expected(instance, candidate, smp)
         rows.append(ReplicationRow(m, z_m, zhat_m, zhat_m - z_m))
     return _aggregate(rows, alpha, n)
-
-
-@dataclass(frozen=True)
-class SAAStage:
-    sample_size: int
-    objective: float          # candidate's value on its generation sample
-    bound: float
-    report: MRPReport
-
-
-@dataclass(frozen=True)
-class SAATrace:
-    stages: tuple[SAAStage, ...]
-    met: bool                 # whether any stage cleared the threshold
-
-
-class SAAOutcome(NamedTuple):
-    sequence: Sequence
-    gap: float
-    trace: SAATrace
-
-
-def mrp_integrated_saa(instance: Instance, solver: SAASolver, n_list, *,
-                       epsilon: float, alpha: float = 0.05,
-                       replications: int = 10, n_mrp: int = 200,
-                       seed: int = 0,
-                       forbid_low_risk_failures: bool = False) -> SAAOutcome:
-    """Generate candidates at increasing sample sizes and return the
-    first whose estimated gap bound is at most epsilon; if none
-    qualifies, the last candidate is returned with met=False."""
-    sizes = list(n_list)
-    if not sizes or any(b < a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("n_list must be nonempty and ascending")
-    stages = []
-    candidate, bound = None, math.nan
-    for i, size in enumerate(sizes):
-        gen = sample(instance, size, derive_seed(seed, 0, i),
-                     forbid_low_risk_failures=forbid_low_risk_failures)
-        candidate, objective = solver(instance, gen, derive_seed(seed, 1, i))
-        report = mrp(instance, candidate, solver,
-                     replications=replications, n=n_mrp, alpha=alpha,
-                     seed=derive_seed(seed, 2, i),
-                     forbid_low_risk_failures=forbid_low_risk_failures)
-        bound = report.bound
-        stages.append(SAAStage(size, objective, bound, report))
-        if bound <= epsilon:
-            return SAAOutcome(candidate, bound, SAATrace(tuple(stages), True))
-    return SAAOutcome(candidate, bound, SAATrace(tuple(stages), False))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ a lower bound on the move's delta.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -98,7 +97,7 @@ import numpy as np
 from .errors import StaleStateError
 from .instance import Instance
 from .moves import SWAP, Move, apply_to_order
-from .scenario import Sample, Scenario, WeightedScenarios
+from .scenario import Sample, Scenario
 from .timeunits import TICKS_PER_TU, format_ticks
 
 REMOVAL = "removal"
@@ -269,20 +268,18 @@ def evaluate(instance: Instance, sequence, scenario: Scenario | None = None,
 
 
 class Objective:
-    """Expected overload of orders over one weighted scenario set, read
-    as its vehicles x scenarios existence matrix and weight vector.
+    """Expected overload of orders over a Sample, read as its
+    vehicles x scenarios existence matrix and multiplicity vector.
 
-    A Sample weighs its scenarios by integer multiplicities, and a key
-    is the exact numerator sum_w n_w * Q(x, w) in ticks; a
-    WeightedScenarios set gives the correctly rounded float sum of
-    weight * Q(x, w).  Lower keys are better, and tu()
-    turns a key into the objective in TU.
+    A key is the exact numerator sum_w n_w * Q(x, w) in ticks, a Python
+    integer.  Lower keys are better, and tu() turns a key into the
+    objective in TU.
     """
 
-    def __init__(self, instance: Instance, scenarios, regenerative: bool = True):
-        self.n = scenarios.n if isinstance(scenarios, Sample) else None
-        self.exists = scenarios.existence
-        self.weights = scenarios.weights
+    def __init__(self, instance: Instance, smp: Sample, regenerative: bool = True):
+        self.n = smp.n
+        self.exists = smp.existence
+        self.weights = smp.weights
         _check_vehicles(instance, self.exists.shape[0], "the scenario set")
         self.regenerative = regenerative
         c = instance.cycle_time
@@ -326,17 +323,13 @@ class Objective:
 
     def _weigh(self, ticks) -> list:
         """Weighted sum over scenarios (columns) of each row of ticks."""
-        if self.n is None:
-            return [math.fsum(row) for row in (ticks * self.weights).tolist()]
         if int(np.abs(ticks).max(initial=0)) * self.n < 2 ** 63:  # no int64 wrap
             return (ticks @ self.weights).tolist()
         weights = self.weights.tolist()
         return [sum(map(operator.mul, row, weights)) for row in ticks.tolist()]
 
     def tu(self, key) -> float:
-        if self.n is not None:
-            return key / (self.n * TICKS_PER_TU)
-        return key / TICKS_PER_TU
+        return key / (self.n * TICKS_PER_TU)
 
     def trajectory(self, sequence) -> "Trajectory":
         """The cached station trajectories of one order, for probing moves."""
@@ -349,17 +342,6 @@ def evaluate_expected(instance: Instance, sequence, smp: Sample,
     computed over deduplicated scenarios with integer weights so the
     multiset and deduplicated forms agree exactly."""
     objective = Objective(instance, smp, regenerative)
-    return objective.tu(objective.keys([as_order(sequence)])[0])
-
-
-def evaluate_weighted(instance: Instance, sequence, scenario_weights,
-                      regenerative: bool = True) -> float:
-    """Probability-weighted expectation in TU over a WeightedScenarios
-    set or (scenario, weight) pairs, e.g. the full-information objective
-    from enumerate_all."""
-    if not isinstance(scenario_weights, WeightedScenarios):
-        scenario_weights = WeightedScenarios(tuple(scenario_weights))
-    objective = Objective(instance, scenario_weights, regenerative)
     return objective.tu(objective.keys([as_order(sequence)])[0])
 
 
@@ -394,8 +376,6 @@ class Trajectory:
     """
 
     def __init__(self, objective: Objective, order: tuple[int, ...]):
-        if objective.n is None:
-            raise ValueError("a trajectory weighs scenarios by a Sample's counts")
         self.objective = objective
         self.order = order
         T = len(order)

@@ -19,11 +19,10 @@ integral node on every violated scenario, and checks each cut tight at
 its anchor by exact integer equality.
 
 Candidate orders are valued by evaluator.Objective: scenario costs are
-exact integer tick counts, so for sampled (integer-multiplicity)
-scenario sets the master can compare candidate values exactly and prune
-on an integrality margin, making the search provably exact despite
-floating LP arithmetic.  Probability-weighted scenario sets (full
-information) fall back to correctly-rounded float sums.
+exact integer tick counts weighted by integer multiplicities, so the
+master can compare candidate values exactly and prune on an integrality
+margin, making the search provably exact despite floating LP
+arithmetic.
 
 Nodes of the exact layer share one format, the fixing matrix: an int8
 vehicle x position array whose entries are 1 (fixed in), 0 (forbidden)
@@ -62,16 +61,11 @@ from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
-from .scenario import Scenario, WeightedScenarios, enumerate_all
+from .scenario import Sample, Scenario
 from .timeunits import TICKS_PER_TU
 
 ENUMERATION_GUARD = 12
 LSHAPED_GUARD = 12
-
-
-def full_information(instance: Instance) -> WeightedScenarios:
-    """All 2^|V| scenarios weighted by their true probabilities."""
-    return WeightedScenarios(tuple(enumerate_all(instance)))
 
 
 # open positions left when a node scores every completion in one batch
@@ -203,7 +197,7 @@ def _search(objective: Objective, fix, incumbent=None):
     return None if best_order is None else (best_order, best_key)
 
 
-def enumerate_optimal(instance: Instance, smp, regenerative: bool = True
+def enumerate_optimal(instance: Instance, smp: Sample, regenerative: bool = True
                       ) -> tuple[Sequence, float]:
     """Exact search over all permutations by branch-and-bound; returns
     the lexicographically smallest argmin and its objective."""
@@ -477,12 +471,11 @@ class _Master:
     deduplication key.
     """
 
-    def __init__(self, instance: Instance, weights, n, floors=0):
+    def __init__(self, instance: Instance, weights, n: int, floors=0):
         self.nv = instance.n_vehicles
         self.nx = self.nv * self.nv
         n_scen = len(weights)
         self.nvar = self.nx + n_scen
-        total = n if n is not None else 1.0
         self.n_base = 2 * self.nv
         self.n_cuts = 0
         self.pool_cap = max(160, 2 * n_scen)
@@ -493,7 +486,7 @@ class _Master:
         for t in range(self.nv):            # each position filled once
             a[self.nv + t, t:self.nx:self.nv] = 1.0
         objective = np.zeros(self.nvar)
-        objective[self.nx:] = [w / total for w in weights.tolist()]
+        objective[self.nx:] = [w / n for w in weights.tolist()]
         lower = np.zeros(self.nvar)
         lower[self.nx:] = np.asarray(floors) / TICKS_PER_TU
         upper = np.concatenate([np.ones(self.nx), np.full(n_scen, np.inf)])
@@ -570,11 +563,10 @@ _EXHAUST_CAP = 6         # most loose vehicles a node may close by search
 _EXHAUST_BUDGET = 20000  # most (loose vehicles)! x scenarios a node may close
 
 
-def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
+def lshaped_solve(instance: Instance, smp: Sample, params: ExactParams | None = None
                   ) -> LShapedResult:
     """Branch-and-bound over assignment variables with lazy Benders
-    optimality cuts at integer nodes; exact for integral-multiplicity
-    scenario sets, tolerance-exact otherwise.
+    optimality cuts at integer nodes; exact on every sample.
 
     Every theta_j starts at the constant lower bound of the integer
     L-shaped method (Laporte & Louveaux 1993): root_bound's overload of
@@ -596,22 +588,15 @@ def lshaped_solve(instance: Instance, smp, params: ExactParams | None = None
     master = _Master(instance, objective.weights, n, root_bound(objective))
     stats = SolveStats()
 
-    if n is not None:
-        # attainable objectives sit on the 1/(n * ticks) grid, so pruning
-        # at 0.4 grid units and capping the per-scenario theta deficit at
-        # 0.3 units keeps the search exact despite float node LPs
-        margin = 0.4 / (n * TICKS_PER_TU)
-        viol_tol = min(1e-6, 0.3 / (n * TICKS_PER_TU))
-        grid = float(n * TICKS_PER_TU)
-    else:
-        margin = 0.0
-        viol_tol = 1e-9
-        grid = None
+    # attainable objectives sit on the 1/(n * ticks) grid, so pruning at
+    # 0.4 grid units and capping the per-scenario theta deficit at 0.3
+    # units keeps the search exact despite float node LPs
+    margin = 0.4 / (n * TICKS_PER_TU)
+    viol_tol = min(1e-6, 0.3 / (n * TICKS_PER_TU))
+    grid = float(n * TICKS_PER_TU)
 
     def sharpen(bound: float) -> float:
-        """Lift an LP bound to the attainable-value grid when one exists."""
-        if grid is None:
-            return bound
+        """Lift an LP bound to the attainable-value grid."""
         return math.ceil(bound * grid - 0.05) / grid
 
     best_key = None

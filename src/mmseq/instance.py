@@ -44,6 +44,27 @@ MAX_DURATION = 10**6 * TICKS_PER_TU
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _Loader(SAFE_LOADER):
+    """SAFE_LOADER, but a float scalar loads as the _Number of its text,
+    so no digit is rounded away before the grid test of _ticks; one that
+    Decimal cannot read (.inf, .nan, 1:30.5) loads as PyYAML's float."""
+
+
+class _Number(Decimal):
+    """A number as the file writes it; error messages quote it so."""
+    __repr__ = Decimal.__str__
+
+
+def _decimal(loader, node):
+    try:
+        return _Number(loader.construct_scalar(node).replace("_", ""))
+    except ArithmeticError:
+        return loader.construct_yaml_float(node)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:float", _decimal)
+
+
 @dataclass(frozen=True)
 class Station:
     id: int
@@ -392,24 +413,25 @@ def _id(row: dict, context: str) -> int:
 
 
 def _ticks(value, key: str, context: str) -> int:
-    """A duration on the file's 1e-4 TU grid; finer digits are refused,
-    not rounded, so two different files never load as one instance.  The
-    grid test multiplies at the precision of the value's own digits, so
-    no digit is rounded away before it.  A magnitude past MAX_DURATION
-    loads as one tick past it, for validate to refuse, without first
-    building the integer of a value such as 1e300000."""
+    """A number on the file's 1e-4 grid, as an integer count of 1e-4
+    (ticks, for a duration in TU); finer digits are refused, not rounded,
+    so two different files never load as one instance.  The grid test
+    multiplies at the precision of the value's own digits, so no digit is
+    rounded away before it.  A magnitude past MAX_DURATION loads as one
+    tick past it, for validate to refuse, without first building the
+    integer of a value such as 1e300000."""
     try:
         exact = Decimal(str(value))
     except ArithmeticError as exc:
-        raise _bad(context, key, value, "a duration") from exc
+        raise _bad(context, key, value, "a number") from exc
     if not exact.is_finite():
-        raise _bad(context, key, value, "a duration")
+        raise _bad(context, key, value, "a number")
     if abs(exact) > MAX_DURATION // TICKS_PER_TU:
         return -(MAX_DURATION + 1) if exact < 0 else MAX_DURATION + 1
     digits = len(exact.as_tuple().digits) + len(str(TICKS_PER_TU))
     scaled = Context(prec=digits).multiply(exact, TICKS_PER_TU)
     if scaled != scaled.to_integral_value():
-        raise _bad(context, key, value, "a multiple of 0.0001 TU")
+        raise _bad(context, key, value, "a multiple of 0.0001")
     return int(scaled)
 
 
@@ -419,7 +441,7 @@ def read_mapping(path) -> dict:
     form cannot build (!!int x, 2001-13-45), where PyYAML's constructors
     raise a bare ValueError."""
     try:
-        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=SAFE_LOADER)
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -454,13 +476,8 @@ def load(path) -> Instance:
         is_ev = _need(row, "is_ev", ctx)
         if not isinstance(is_ev, bool):
             raise _bad(ctx, "is_ev", is_ev, "true or false")
-        failure_prob = _need(row, "failure_prob", ctx)
-        try:
-            failure_prob = float(failure_prob)
-        except (TypeError, ValueError) as exc:
-            raise _bad(ctx, "failure_prob", failure_prob, "a number") from exc
-        if quantize(failure_prob) != failure_prob:
-            raise _bad(ctx, "failure_prob", failure_prob, "a multiple of 0.0001")
+        failure_prob = _ticks(_need(row, "failure_prob", ctx), "failure_prob",
+                              ctx) / TICKS_PER_TU
         vehicles.append(Vehicle(
             id=_id(row, ctx),
             is_ev=is_ev,

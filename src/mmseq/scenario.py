@@ -2,19 +2,18 @@
 
 A scenario fixes, for every vehicle, whether it still exists at the
 final assembly stage (1) or dropped out upstream (0).  Failures are
-independent across vehicles, so a scenario's probability is the product
-prod_v f_v^(1 - e_v) * (1 - f_v)^e_v.
+independent across vehicles, and a Monte Carlo sample of N draws stands
+in for the 2^|V| scenarios (sample average approximation).
 
-A scenario set is held as arrays, the form every consumer reads: a
-read-only vehicles x scenarios bool existence matrix and a weight per
-column.  A Sample deduplicates repeated draws: the estimator only ever
-needs the distinct scenarios with their multiplicities n_w, so its
-columns are distinct, in lexicographic order, and weighted by int64
+A Sample is the only scenario set.  It is held as arrays, the form every
+consumer reads: a read-only vehicles x scenarios bool existence matrix
+and a weight per column.  It deduplicates repeated draws: the estimator
+only ever needs the distinct scenarios with their multiplicities n_w, so
+its columns are distinct, in lexicographic order, and weighted by int64
 draw counts; sums of integer tick values weighted by integer counts keep
-sample averages exact.  WeightedScenarios keeps (Scenario, weight)
-pairs, e.g. true probabilities, and derives the same arrays once.
-Scenario objects are built only where one is needed: by Sample.unique
-for tabu search's reference spot check and the bench's draw check.
+sample averages exact.  Scenario objects are built only where one is
+needed: by Sample.unique for tabu search's reference spot check and the
+bench's draw check.
 `sample` draws its N x V variates in blocks of at most _BLOCK_BYTES
 bytes of floats straight into the bool existence matrix, the same
 stream as one N x V draw without its N x V floats, and finds the
@@ -24,18 +23,12 @@ lexsorting the words, which orders the rows lexicographically.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import SizeGuardError
 from .instance import Instance
 from .seeding import make_rng
-
-ENUMERATION_GUARD = 20
 
 # bytes of uniform variates per block in sample, in whole rows, at least
 # one: 1310 rows at V = 200, where one N x V draw would take 1.6 GB at
@@ -64,15 +57,6 @@ class Scenario:
     def from_flags(cls, flags) -> "Scenario":
         """The scenario of one bool column of an existence matrix."""
         return cls(tuple(np.asarray(flags, dtype=np.int8).tolist()))
-
-
-def scenario_probability(instance: Instance, scenario: Scenario) -> float:
-    if len(scenario.exists) != instance.n_vehicles:
-        raise ValueError("scenario length does not match instance")
-    prob = 1.0
-    for veh, e in zip(instance.vehicles, scenario.exists):
-        prob *= (1.0 - veh.failure_prob) if e else veh.failure_prob
-    return prob
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -155,34 +139,6 @@ class Sample:
                      for col, count in zip(self.existence.T, self.weights.tolist()))
 
 
-@dataclass(frozen=True)
-class WeightedScenarios:
-    """Scenario set with real-valued weights (e.g. true probabilities)."""
-    pairs: tuple[tuple[Scenario, float], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("need at least one scenario")
-        if len({len(s.exists) for s, _ in self.pairs}) > 1:
-            raise ValueError("scenarios must all have one length")
-        if any(w < 0 for _, w in self.pairs):
-            raise ValueError("weights must be nonnegative")
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    @functools.cached_property
-    def existence(self) -> np.ndarray:
-        """Read-only vehicles x scenarios existence flags."""
-        flags = np.array([s.exists for s, _ in self.pairs], dtype=bool)
-        return _read_only(np.ascontiguousarray(flags.T))
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only float weight of each column."""
-        return _read_only(np.array([w for _, w in self.pairs], dtype=float))
-
-
 def sample(instance: Instance, n: int, seed: int,
            forbid_low_risk_failures: bool = False) -> Sample:
     """Draw N iid scenarios: one uniform variate per (draw, vehicle) in
@@ -219,15 +175,3 @@ def _unique_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
     counts = np.diff(np.r_[starts, n])
     return flags[order[starts]], counts
-
-
-def enumerate_all(instance: Instance) -> Iterator[tuple[Scenario, float]]:
-    """All 2^|V| scenarios with probabilities, lexicographic by existence
-    vector.  Guarded: refuses |V| > 20."""
-    n = instance.n_vehicles
-    if n > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"full enumeration needs 2^{n} scenarios; guard is |V| <= {ENUMERATION_GUARD}")
-    for bits in itertools.product((0, 1), repeat=n):
-        s = Scenario(bits)
-        yield s, scenario_probability(instance, s)

@@ -5,8 +5,6 @@ matching pass/fail verdict per criterion.  Stated wall-clock budgets are
 asserted inside the tests themselves.
 """
 
-import itertools
-import math
 import time
 from dataclasses import replace
 
@@ -21,7 +19,7 @@ from mmseq.greedy import construct
 from mmseq.instance import (HIGH_RISK, Instance, Vehicle, generate,
                             preset_config, save)
 from mmseq.moves import MOVE_KINDS, Move, apply_to_order
-from mmseq.scenario import Sample, Scenario, sample
+from mmseq.scenario import Scenario, sample
 from mmseq.seeding import make_rng
 from mmseq.tabu import SearchParams, search
 from mmseq.timeunits import TICKS_PER_TU

@@ -1,13 +1,12 @@
-"""Replication-based gap assessment and the integrated sizing loop."""
+"""Replication-based gap assessment."""
 
 import json
 import math
 
 import pytest
 
-from mmseq.assess import (MRPReport, ReplicationRow, SAAOutcome,
-                          enumeration_solver, lshaped_solver, mrp,
-                          mrp_integrated_saa, t_quantile, tabu_solver)
+from mmseq.assess import (enumeration_solver, lshaped_solver, mrp, t_quantile,
+                          tabu_solver)
 from mmseq.cli import format_solution
 from mmseq.errors import MMSeqError
 from mmseq.evaluator import Sequence, evaluate_expected
@@ -270,45 +269,3 @@ def test_tabu_adapter_reports_its_own_value():
     params = SearchParams(iters_one=50, iters_full=200)
     seq, val = tabu_solver(params)(inst, smp, 12)
     assert val == evaluate_expected(inst, seq, smp)
-
-
-# ------------------------------------------------------------ integrated
-
-def test_integrated_saa_stops_at_first_passing_stage():
-    inst = generate(preset_config(6, seed=30, size_class="small"))
-    outcome = mrp_integrated_saa(inst, enumeration_solver(), [20, 40, 80],
-                                 epsilon=math.inf, replications=3, n_mrp=20,
-                                 seed=2)
-    assert isinstance(outcome, SAAOutcome)
-    assert outcome.trace.met
-    assert len(outcome.trace.stages) == 1
-    assert outcome.trace.stages[0].sample_size == 20
-    assert outcome.gap == outcome.trace.stages[0].bound
-
-
-def test_integrated_saa_exhausts_unreachable_threshold():
-    inst = generate(preset_config(6, seed=31, size_class="small"))
-    outcome = mrp_integrated_saa(inst, enumeration_solver(), [15, 30],
-                                 epsilon=-math.inf, replications=3, n_mrp=15,
-                                 seed=3)
-    assert not outcome.trace.met
-    assert [s.sample_size for s in outcome.trace.stages] == [15, 30]
-    assert outcome.gap == outcome.trace.stages[-1].bound
-
-
-def test_integrated_saa_sizes_validation():
-    inst = generate(preset_config(6, seed=32, size_class="small"))
-    with pytest.raises(ValueError, match="ascending"):
-        mrp_integrated_saa(inst, enumeration_solver(), [], epsilon=0.1)
-    with pytest.raises(ValueError, match="ascending"):
-        mrp_integrated_saa(inst, enumeration_solver(), [40, 20], epsilon=0.1)
-
-
-def test_integrated_saa_deterministic():
-    inst = generate(preset_config(6, seed=33, size_class="small"))
-    kwargs = dict(epsilon=0.5, replications=3, n_mrp=20, seed=11)
-    o1 = mrp_integrated_saa(inst, enumeration_solver(), [20, 40], **kwargs)
-    o2 = mrp_integrated_saa(inst, enumeration_solver(), [20, 40], **kwargs)
-    assert o1.sequence == o2.sequence
-    assert o1.gap == o2.gap
-    assert o1.trace == o2.trace

@@ -1,7 +1,6 @@
 """Station recursion, scenario transforms, and partial reevaluation."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,13 +10,11 @@ from mmseq.errors import StaleStateError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, effective_times, evaluate,
                              evaluate_expected, evaluate_station,
-                             evaluate_weighted, partial_reevaluate, trace_csv,
-                             vehicle_times)
+                             partial_reevaluate, trace_csv, vehicle_times)
 from mmseq.instance import generate, preset_config
 from mmseq.moves import (INSERT_BACKWARD, INSERT_FORWARD, INVERSION, MOVE_KINDS,
                          SWAP, Move, apply_to_order)
-from mmseq.scenario import (Sample, Scenario, WeightedScenarios, enumerate_all,
-                            sample)
+from mmseq.scenario import Sample, Scenario, sample
 from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
@@ -190,28 +187,17 @@ def test_duplicated_sample_leaves_value_unchanged():
         evaluate_expected(inst, order, doubled), abs=0)
 
 
-def test_weighted_expectation_matches_brute_force():
-    inst = generate(preset_config(7, seed=23, size_class="small"))
-    order = (3, 1, 6, 0, 5, 2, 4)
-    pairs = list(enumerate_all(inst))
-    got = evaluate_weighted(inst, order, pairs)
-    want = math.fsum(
-        p * evaluate(inst, order, s).total_overload for s, p in pairs)
-    assert got == want / TU
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_objective_ticks_match_the_reference_recursion(seed, regen):
     rng = make_rng(seed)
     inst = random_instance(rng)
     n = inst.n_vehicles
     orders = [random_order(rng, n) for _ in range(4)]
-    scenarios = [random_scenario(rng, n) for _ in range(5)]
-    objective = Objective(inst, WeightedScenarios(tuple((s, 1.0) for s in scenarios)),
-                          regen)
-    assert objective.ticks(orders).tolist() == [
+    smp = Sample.from_scenarios([random_scenario(rng, n) for _ in range(5)])
+    # one column per distinct scenario, in smp.unique's sorted order
+    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
         [evaluate(inst, o, s, regenerative=regen).total_overload
-         for s in scenarios] for o in orders]
+         for s, _ in smp.unique] for o in orders]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -286,17 +272,9 @@ def test_scenario_sets_of_the_wrong_length_are_refused(n_vehicles):
     with pytest.raises(ValueError, match=counts):
         evaluate_expected(inst, order, smp)
     with pytest.raises(ValueError, match=counts):
-        evaluate_weighted(inst, order, [(s, c / 50) for s, c in smp.unique])
-    with pytest.raises(ValueError, match=counts):
         evaluate(inst, order, Scenario.all_exist(n_vehicles))
     with pytest.raises(ValueError, match=counts):
         effective_times(inst, order, Scenario.all_exist(n_vehicles), REMOVAL)
-
-
-def test_evaluate_weighted_needs_a_scenario():
-    inst = generate(preset_config(7, seed=23, size_class="small"))
-    with pytest.raises(ValueError, match="at least one"):
-        evaluate_weighted(inst, tuple(range(7)), [])
 
 
 def test_trace_csv_shape():
@@ -368,13 +346,6 @@ def test_stale_state_is_rejected():
     with pytest.raises(StaleStateError):
         traj.commit(second)    # made against the order before the commit
     assert traj.order == (0, 4, 3, 2, 1)
-
-
-def test_trajectory_needs_integer_counts():
-    inst = window_instance()
-    with pytest.raises(ValueError, match="Sample"):
-        Objective(inst, WeightedScenarios(((Scenario.all_exist(5), 1.0),))
-                  ).trajectory(range(5))
 
 
 def chain_sample(rng, n: int) -> Sample:

@@ -11,11 +11,10 @@ import mmseq.exact
 from mmseq.errors import SizeGuardError
 from mmseq.evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO,
                              Objective, Sequence, evaluate, evaluate_expected,
-                             evaluate_station, evaluate_weighted)
-from mmseq.exact import (DualSolution, ExactParams, WeightedScenarios,
-                         _branch_pick, _cuts, _integral_order, _Master,
-                         _rest_terms, _search, _suffix_bound,
-                         enumerate_optimal, full_information, lshaped_solve,
+                             evaluate_station)
+from mmseq.exact import (DualSolution, ExactParams, _branch_pick, _cuts,
+                         _integral_order, _Master, _rest_terms, _search,
+                         _suffix_bound, enumerate_optimal, lshaped_solve,
                          recourse_lp, root_bound, solve_dsp)
 from mmseq.instance import (Instance, Station, Vehicle, generate,
                             preset_config)
@@ -494,22 +493,6 @@ def test_enumerate_guard():
         enumerate_optimal(inst, Sample.degenerate(inst))
 
 
-# ------------------------------------------------------- full information
-
-def test_full_information_covers_every_scenario(rng):
-    inst = random_instance(rng, n=5)
-    ws = full_information(inst)
-    assert len(ws.pairs) == 32
-    assert math.fsum(w for _, w in ws.pairs) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_weighted_scenarios_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        WeightedScenarios(())
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightedScenarios(((Scenario((1,)), -0.5),))
-
-
 # ---------------------------------------------------------- branch and cut
 
 def test_lshaped_matches_enumeration_v6():
@@ -545,17 +528,6 @@ def test_lshaped_matches_enumeration_across_size_classes(size_class, draws):
     assert res.stats.status == "optimal"
 
 
-def test_lshaped_full_information():
-    inst = generate(preset_config(6, seed=310, size_class="small"))
-    ws = full_information(inst)
-    res = lshaped_solve(inst, ws)
-    _, opt = enumerate_optimal(inst, ws)
-    assert res.upper_bound == pytest.approx(opt, abs=1e-9)
-    assert res.lower_bound <= res.upper_bound + 1e-9
-    assert evaluate_weighted(inst, res.sequence, ws.pairs) == pytest.approx(
-        opt, abs=1e-9)
-
-
 @pytest.mark.parametrize("size_class", ["small", "medium", "large"])
 @pytest.mark.parametrize("seed", [1, 8, 103, 200])
 def test_theta_floors_sit_below_the_optimum(size_class, seed):
@@ -567,18 +539,6 @@ def test_theta_floors_sit_below_the_optimum(size_class, seed):
     costs = [station_cost(inst, best.order, scen, True) for scen, _ in smp.unique]
     assert (floors <= costs).all()
     assert objective._weigh(floors[None])[0] <= objective.keys([best.order])[0]
-
-
-@pytest.mark.parametrize("seed", [310, 311])
-def test_lshaped_full_information_with_floors(seed):
-    inst = generate(preset_config(6, seed=seed, size_class="small"))
-    ws = full_information(inst)
-    objective = Objective(inst, ws)
-    best, opt = enumerate_optimal(inst, ws)
-    assert (root_bound(objective) <= objective.ticks([best.order])[0]).all()
-    res = lshaped_solve(inst, ws)
-    assert res.upper_bound == pytest.approx(opt, abs=1e-9)
-    assert res.lower_bound <= res.upper_bound + 1e-9
 
 
 def test_lshaped_single_scenario():

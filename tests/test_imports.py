@@ -1,8 +1,8 @@
 """Every name a module imports is read somewhere in that module.
 
 There is no linter in the test run, and deleting code tends to leave its
-imports behind.  The package's __init__ imports names to export them, so
-it is not checked.
+imports behind, in the package and in its tests alike.  The package's
+__init__ imports names to export them, so it is not checked.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmseq"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mmseq"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -223,21 +223,36 @@ def _solve_greedy(capsys, path):
     return rc, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prefix, where", [
+NUMBER_FIELDS = [
     ("cycle_time: ", "bad cycle_time"),
     ("length: ", "stations[0]: bad length"),
     ("processing_times: [", "vehicles[0]: bad processing_times[0]"),
-])
-def test_load_refuses_a_grid_digit_past_decimal_precision(tmp_path, capsys, prefix, where):
-    # decimal's default 28 digits would round the 1 away and load 97.0000
+    ("failure_prob: ", "vehicles[0]: bad failure_prob"),
+]
+
+
+def _refused_with_excess_digits(tmp_path, capsys, prefix, where, quote):
     path = tmp_path / "inst.yaml"
     save(generate(preset_config(8, seed=0)), path)
     number = re.compile(rf"(?<={re.escape(prefix)})[0-9.]+")
-    path.write_text(number.sub(r'"\g<0>' + "0" * 24 + '1"', path.read_text(), count=1))
+    excess = quote + r"\g<0>" + "0" * 24 + "1" + quote
+    path.write_text(number.sub(excess, path.read_text(), count=1))
     with pytest.raises(ParseError, match=re.escape(where)):
         load(path)
     rc, err = _solve_greedy(capsys, path)
     assert rc == 2 and where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prefix, where", NUMBER_FIELDS)
+def test_load_refuses_a_grid_digit_past_decimal_precision(tmp_path, capsys, prefix, where):
+    # decimal's default 28 digits would round the 1 away and load 97.0000
+    _refused_with_excess_digits(tmp_path, capsys, prefix, where, '"')
+
+
+@pytest.mark.parametrize("prefix, where", NUMBER_FIELDS)
+def test_load_refuses_a_grid_digit_past_float_precision(tmp_path, capsys, prefix, where):
+    # unquoted, PyYAML's float would round the 1 away and load 97.0
+    _refused_with_excess_digits(tmp_path, capsys, prefix, where, "")
 
 
 @pytest.mark.parametrize("value, where", [

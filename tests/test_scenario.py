@@ -1,19 +1,16 @@
-"""Scenario model, probabilities, sampling, and enumeration."""
+"""Scenario model and sampling."""
 
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmseq.errors import SizeGuardError
 from mmseq.instance import HIGH_RISK, LOW_RISK, Vehicle, generate, preset_config
 from mmseq.instance import Instance
 import mmseq.scenario
-from mmseq.scenario import (Sample, Scenario, enumerate_all, sample,
-                            scenario_probability)
+from mmseq.scenario import Sample, Scenario, sample
 from mmseq.seeding import make_rng
 
 
@@ -33,57 +30,6 @@ def test_scenario_rejects_non_binary():
     for entry in (2, "1", -1):
         with pytest.raises(ValueError, match="0 or 1"):
             Scenario((0, entry))
-
-
-def test_probability_no_failures():
-    inst = two_vehicle_instance(0.0, 0.0)
-    assert scenario_probability(inst, Scenario.all_exist(2)) == 1.0
-
-
-def test_probability_direct_product():
-    inst = two_vehicle_instance(0.4, 0.4)
-    # first exists (prob 0.6), second fails (prob 0.4)
-    assert scenario_probability(inst, Scenario((1, 0))) == pytest.approx(0.24)
-
-
-def test_probability_independent_product_oracle():
-    inst = generate(preset_config(7, seed=5, size_class="small"))
-    scen = Scenario((1, 0, 1, 1, 0, 1, 1))
-    expected = 1.0
-    for veh, e in zip(inst.vehicles, scen.exists):
-        expected *= (1.0 - veh.failure_prob) if e else veh.failure_prob
-    assert scenario_probability(inst, scen) == pytest.approx(expected, abs=0)
-
-
-def test_enumerate_all_two_vehicles():
-    inst = two_vehicle_instance(0.1, 0.2)
-    pairs = list(enumerate_all(inst))
-    assert len(pairs) == 4
-    assert [s.exists for s, _ in pairs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_enumerate_all_zero_prob_vehicles():
-    vehicles = [Vehicle.of(0, False, (5,), 0.0, LOW_RISK),
-                Vehicle.of(1, False, (5,), 0.0, LOW_RISK),
-                Vehicle.of(2, False, (5,), 0.3, HIGH_RISK)]
-    inst = Instance.of(5, (5,), vehicles)
-    pairs = list(enumerate_all(inst))
-    assert len(pairs) == 8
-    nonzero = {s.exists: p for s, p in pairs if p > 0}
-    assert nonzero == {(1, 1, 1): pytest.approx(0.7), (1, 1, 0): pytest.approx(0.3)}
-
-
-def test_enumerate_all_probabilities_sum_to_one():
-    inst = generate(preset_config(7, seed=3, size_class="small"))
-    pairs = list(enumerate_all(inst))
-    assert len(pairs) == 2**7
-    assert math.fsum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_enumerate_all_guard():
-    inst = generate(preset_config(21, seed=0, size_class="large"))
-    with pytest.raises(SizeGuardError):
-        list(enumerate_all(inst))
 
 
 def test_sample_all_exist_when_no_failures():

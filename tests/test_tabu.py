@@ -18,7 +18,7 @@ from mmseq.seeding import make_rng
 from mmseq.tabu import (DEFAULT_WEIGHTS, History, HistoryRecord, SearchParams, _cumulative,
                         _draw_kind, _tabu, history_csv, is_tabu, search)
 
-from conftest import random_instance, worked_example
+from conftest import worked_example
 
 
 def no_adjacent_evs(flags) -> bool:
