@@ -29,24 +29,31 @@ The recursion is written twice.  evaluate_station runs it for one
 scenario and station in pure Python and keeps the full trace: it is the
 reference in the tests, and it feeds evaluate and trace_csv.
 station_step is one position of it, elementwise over any broadcast
-shape of integer arrays, and every batched caller runs on it:
-Objective.ticks over orders x stations x scenarios for full
-evaluations, Trajectory._scan over scenarios x stations for
-local-search probes (partial_reevaluate rescans only the window a move
-disturbs), greedy.construct over candidates x stations on the nominal
-scenario, the exact search (exact._search) over the children of a
-node x scenarios x stations, and the cut reader (exact._cuts) over
-scenarios x stations, on float times at a fractional anchor.
+shape of integer arrays, in three ufunc calls: s = max(z + eta, zero)
+and z' = min(s, cap).  The overload rule, w = s - z' or w = s at the
+regenerative last position, lives in step_overload.  Every batched
+caller runs on the step: Objective.ticks over orders x stations x
+scenarios for full evaluations, Trajectory._scan over scenarios x
+stations for local-search probes (partial_reevaluate rescans only the
+window a move disturbs), greedy.construct over candidates x stations on
+the nominal scenario, the exact search (exact._search) over the
+children of a node x scenarios x stations, and the cut reader
+(exact._cuts) over scenarios x stations, on float times at a fractional
+anchor.  All but Trajectory apply step_overload per step.  A Trajectory
+holds s in place of w until a window is read, and then turns the whole
+window into w with one block step_overload.
 
 The hot callers keep numpy's inner loop long: a per-station constant
 such as cap broadcasts along the contiguous axis or comes at full
-shape (see station_step).  Objective.ticks steps an orders x stations
-x scenarios state, so the scenario axis is contiguous and each
-vehicle's eta broadcasts along it; Trajectory and exact._search keep
-their per-vehicle scenarios x stations blocks.  All three pass cap at
-full shape, built once per call or per trajectory.  greedy.construct
-steps only candidates x stations once per position and keeps the (K,)
-cap.
+shape, and so does the floor (see station_step for the measured
+costs).  Objective.ticks steps an orders x stations x scenarios state,
+so the scenario axis is contiguous and each vehicle's eta broadcasts
+along it; it writes eta from a uint8 view of the existence flags.
+Trajectory and exact._search keep their per-vehicle scenarios x
+stations blocks.  All three pass cap and floor at full shape, built
+once per call, per search or per trajectory.  greedy.construct and
+exact._cuts step only a few small blocks and keep the (K,) cap and the
+scalar floor 0.
 
 Objective picks the state dtype once per instance: int32 when
 max_k(l_k + c + sum_v |p_vk - c|) < 2**31 ticks, else int64.  cap, eta,
@@ -197,26 +204,39 @@ def evaluate_station(b: list[int], cycle_time: int, length: int,
     return StationEval(z, w, idle, sum(w), sum(idle))
 
 
-def station_step(z, eta, cap, last: bool = False, out=(None, None, None)):
+def station_step(z, eta, cap, zero, out=(None, None)):
     """One position of the recursion in eta form, elementwise over any
-    broadcast shape: s = max(z + eta, 0), z' = min(s, cap), and
-    w = s - z', or w = s at the regenerative last position.
+    broadcast shape: s = max(z + eta, zero) and z' = min(s, cap), three
+    ufunc calls.  zero is the floor, 0 everywhere; step_overload turns
+    (s, z') into the position's overload.
 
-    Any layout works.  A fast one gives eta and cap the full shape of z,
-    or broadcasts them along z's contiguous axis: a stations x 1 cap
-    for a stations x scenarios state, never a (K,) cap for a
-    scenarios x stations one, which makes numpy loop over K elements at
-    a time.
+    Any layout works.  A fast one gives cap and zero the full broadcast
+    shape of z and eta, or broadcasts them along z's contiguous axis:
+    a stations x 1 cap for a stations x scenarios state, never a (K,)
+    cap for a scenarios x stations one, which makes numpy loop over K
+    elements at a time.  A Python-scalar zero is the same kind of
+    detour: on a 2-core Xeon host np.maximum took 1.8 us against 0.8 us
+    with a full-shape zeros floor on a probe's 95 x 5 int32 block, and
+    4.9 us against 1.5 us on a 5 x 2232 block.  Pass out= by keyword
+    (numpy 2.4 deprecates a third positional argument to np.maximum and
+    np.minimum), and keep the two ufuncs rather than np.clip, which took
+    10.4 us against 4.0 us for both at 5 x 2232.
 
-    out holds optional buffers for (s, z', w); z' may be z itself.
-    Returns (s, z', w).
+    out holds optional buffers for (s, z'); z' may be z itself.
+    Returns (s, z').
     """
-    s, z_next, w = out
+    s, z_next = out
     s = np.add(z, eta, out=s)
-    np.maximum(s, 0, out=s)
-    z_next = np.minimum(s, cap, out=z_next)
-    w = np.subtract(s, 0 if last else z_next, out=w)
-    return s, z_next, w
+    np.maximum(s, zero, out=s)
+    return s, np.minimum(s, cap, out=z_next)
+
+
+def step_overload(s, z_next, last: bool = False, out=None):
+    """The overload of a position from station_step's (s, z'):
+    w = s - z', or w = s itself at the regenerative last position."""
+    if last:
+        return s
+    return np.subtract(s, z_next, out=out)
 
 
 @dataclass
@@ -309,12 +329,14 @@ class Objective:
         z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=self.eta.dtype)
         eta, s, w, cap = (np.empty_like(z) for _ in range(4))
         cap[...] = self.cap[:, None]
-        total = np.zeros_like(z)
+        zero, total = np.zeros_like(z), np.zeros_like(z)
+        # the flags as 0/1 bytes, multiplied without the bool cast
+        flags = self.exists.view(np.uint8)
         for t in range(T):
             v = orders[:, t]
-            np.multiply(self.exists[v][:, None, :], self.eta[v][:, :, None], out=eta)
-            station_step(z, eta, cap, t == last, out=(s, z, w))
-            total += w
+            np.multiply(flags[v][:, None, :], self.eta[v][:, :, None], out=eta)
+            station_step(z, eta, cap, zero, out=(s, z))
+            total += step_overload(s, z, t == last, out=w)
         return total.sum(axis=1, dtype=np.int64)
 
     def keys(self, orders) -> list:
@@ -371,8 +393,9 @@ class Trajectory:
     the instance's tick bound allows it, see the module docstring); z has
     one more row, the state after the last position.  value is the exact
     numerator sum_w n_w * Q(order, w) in ticks.  partial_reevaluate prices
-    a move into preallocated buffers, and commit splices the probed
-    windows in.  Mutable, single-owner.
+    a move into preallocated buffers, _zbuf for z and _wbuf for w, which
+    holds the step's s until _change turns a window into w; commit
+    splices the probed windows in.  Mutable, single-owner.
     """
 
     def __init__(self, objective: Objective, order: tuple[int, ...]):
@@ -388,8 +411,10 @@ class Trajectory:
         self._zbuf = np.zeros_like(self.z)
         self._wbuf = np.zeros_like(self.w)
         self._s = np.empty((n_scenarios, n_stations), dtype=dtype)
+        # the step's cap and floor at full shape
         self._cap = np.empty_like(self._s)
         self._cap[...] = objective.cap
+        self._zero = np.zeros_like(self._s)
         # row views, indexed from Python lists in the scan loop
         self._eta_rows = list(objective.scenario_eta)
         self._z_rows = list(self.z)
@@ -407,12 +432,13 @@ class Trajectory:
 
     def _scan(self, order, t1: int, t2: int, swap: bool, limit=None):
         """Run the recursion for order into the buffers from the cached
-        entry state z[t1].  After t2 the scan stops at the first position
-        whose entry state equals the cached one in every row; in a swap's
-        unchanged interior (t1, t2) such a position bridges the scan to
-        t2.  With a limit, it also stops at the first of t2 + 4, t2 + 8,
-        t2 + 16, ... where the lower bound of partial_reevaluate exceeds
-        the limit.
+        entry state z[t1]: z' into _zbuf and s into _wbuf, which _change
+        turns into w window by window.  In a swap's unchanged interior
+        (t1, t2) the first position whose entry state equals the cached
+        one in every row bridges the scan to t2.  After t2 the scan
+        stops at the first such position.  With a limit, it also stops
+        at the first of t2 + 4, t2 + 8, t2 + 16, ... where the lower
+        bound of partial_reevaluate exceeds the limit.
 
         Returns (windows, diff, bound): the scanned windows [a, b), the
         change of the overload over them per (scenario, station) row
@@ -420,33 +446,37 @@ class Trajectory:
         None.
         """
         z, zbuf, wbuf, eta = self._z_rows, self._zbuf_rows, self._wbuf_rows, self._eta_rows
-        s, cap, last = self._s, self._cap, self._last
+        s, cap, zero = self._s, self._cap, self._zero
         T = len(order)
         windows = []
         a = t = t1
         zin = z[t1]
+        # the moved span [t1, t2]
+        while t <= t2:
+            if swap and t1 < t < t2 and zin.tobytes() == z[t].tobytes():
+                windows.append((a, t))
+                a = t = t2
+                zin = z[t2]
+            _, zin = station_step(zin, eta[order[t]], cap, zero, out=(wbuf[t], zbuf[t + 1]))
+            t += 1
+        # the tail past t2, where both orders place the same vehicles;
         # diff sums the scanned positions before done, built at the first check
         diff, done = None, t1
         check = T if limit is None else t2 + 4
         while t < T:
-            if ((t > t2 or swap and t1 < t < t2)
-                    and zin.tobytes() == z[t].tobytes()):
+            if zin.tobytes() == z[t].tobytes():
                 windows.append((a, t))
-                if t > t2:
-                    return windows, self._change(windows, done, diff), None
-                a = t = t2
-                zin = z[t2]
+                return windows, self._change(windows, done, diff), None
             if t == check:
                 diff = self._change(windows + [(a, t)], done, diff)
                 done = t
-                tail = np.maximum(np.subtract(z[t], zin, out=s), 0, out=s)
+                tail = np.maximum(np.subtract(z[t], zin, out=s), zero, out=s)
                 bound = self._weigh_rows(diff - tail)
                 if bound > limit:
                     windows.append((a, t))
                     return windows, diff, bound
                 check = 2 * check - t2
-            _, zin, _ = station_step(zin, eta[order[t]], cap, t == last,
-                                     out=(s, zbuf[t + 1], wbuf[t]))
+            _, zin = station_step(zin, eta[order[t]], cap, zero, out=(wbuf[t], zbuf[t + 1]))
             t += 1
         windows.append((a, T))
         return windows, self._change(windows, done, diff), None
@@ -460,10 +490,17 @@ class Trajectory:
 
     def _change(self, windows, start: int, diff=None):
         """diff (None for zero) plus the overload change of the scanned
-        positions >= start in windows, per (scenario, station) row (int64)."""
+        positions >= start in windows, per (scenario, station) row (int64).
+
+        Those positions still hold s in _wbuf: each window is turned into
+        w with one block step_overload before it is read, all but the
+        regenerative last position, whose w is s.  Every scanned position
+        is read once, by the first call whose start is at or below it."""
         for a, b in windows:
             a = max(a, start)
             if a < b:
+                m = min(b, self._last)
+                step_overload(self._wbuf[a:m], self._zbuf[a + 1:m + 1], out=self._wbuf[a:m])
                 part = (self._wbuf[a:b] - self.w[a:b]).sum(axis=0, dtype=np.int64)
                 diff = part if diff is None else np.add(diff, part, out=diff)
         return diff

@@ -10,13 +10,15 @@ a floor, root_bound's least overload of that scenario over all orders,
 so the root bound is never below the weighted floors.
 
 One reader, _cuts, turns a batch of station chains into duals and cuts.
-It runs the chains forward on evaluator.station_step, keeping z + eta at
-each position, walks back over batch x stations to set the 0/1
-multipliers, and sums every cut's coefficients in one product, in
-integer ticks.  solve_dsp calls it on a batch of one at any anchor,
-fractional ones included.  The branch-and-cut calls it once per
-integral node on every violated scenario, and checks each cut tight at
-its anchor by exact integer equality.
+It runs the chains forward on evaluator.station_step, with a (K,) cap
+and the scalar floor 0, takes each position's overload from
+evaluator.step_overload and keeps z + eta at each position.  Then it
+walks back over batch x stations to set the 0/1 multipliers, and sums
+every cut's coefficients in one product, in integer ticks.  solve_dsp
+calls it on a batch of one at any anchor, fractional ones included.
+The branch-and-cut calls it once per integral node on every violated
+scenario, and checks each cut tight at its anchor by exact integer
+equality.
 
 Candidate orders are valued by evaluator.Objective: scenario costs are
 exact integer tick counts weighted by integer multiplicities, so the
@@ -33,11 +35,14 @@ Enumeration and the branch-and-bound's exhaustive closures run on one
 engine, _search, a prefix branch-and-bound on evaluator.station_step.
 It extends prefixes depth-first in lexicographic order, steps every
 allowed child of a node at once over children x scenarios x stations
-(a fixed slot gives one child, a forbidden pair none), and prunes a
-child when its prefix overload plus a suffix bound reaches the
-incumbent key.  The bound per (scenario, station) is the larger of work
-conservation, with each remaining vehicle's eta clipped at -cap, and the
-sum of each remaining vehicle's own excess over the window.  The last
+(a fixed slot gives one child, a forbidden pair none) against a cap and
+a zeros floor built at full shape once per search for its widest batch
+and sliced per step, takes the overload from evaluator.step_overload,
+and prunes a child when its prefix overload plus a suffix bound
+reaches the incumbent key.  The bound per (scenario, station) is the
+larger of work conservation, with each remaining vehicle's eta clipped
+at -cap, and the sum of each remaining vehicle's own excess over the
+window.  The last
 _TAIL open positions are scored from the node's state as one batch.
 The incumbent is replaced only by a strictly smaller key, so the result
 is the lexicographically smallest argmin.
@@ -57,7 +62,7 @@ import numpy as np
 from .errors import MMSeqError, SizeGuardError
 from .evaluator import (IMPROVED_NEUTRAL, REMOVAL, STANDARD_ZERO, Objective,
                         Sequence, as_order, effective_times, station_step,
-                        vehicle_times)
+                        step_overload, vehicle_times)
 from .greedy import construct
 from .instance import Instance
 from .lp import EQ, LE, OPTIMAL, LinearProgram, LPResult, Model, solve_lp
@@ -134,12 +139,14 @@ def _search(objective: Objective, fix, incumbent=None):
     # the vehicle fixed at each position, -1 where the position is open
     slots = np.where(fixed.any(axis=0), fixed.argmax(axis=0), -1).tolist()
     loose = np.flatnonzero(~fixed.any(axis=1)).tolist()
-    # cap at full shape for the widest batch (a tail's completions or a
-    # node's children), sliced per step: a (K,) operand would make
-    # numpy's inner loop run over K elements at a time
+    # cap and floor at full shape for the widest batch (a tail's
+    # completions or a node's children), sliced per step: a (K,) cap or
+    # a scalar floor would make numpy's inner loop run over K elements
+    # at a time
     caps = np.empty((max(len(_PERMS[min(len(loose), _TAIL)]), T),) + eta.shape[1:],
                     dtype=eta.dtype)
     caps[...] = cap
+    zeros = np.zeros_like(caps)
     open_after = [slots[t:].count(-1) for t in range(T + 1)]
     last = T - 1 if objective.regenerative else T
     weigh = objective._weigh
@@ -157,10 +164,10 @@ def _search(objective: Objective, fix, incumbent=None):
             return
         zs = np.repeat(z[None], len(orders), axis=0)
         s, w, total = np.empty_like(zs), np.empty_like(zs), np.zeros_like(zs)
-        cap_t = caps[:len(zs)]
+        cap_t, zero_t = caps[:len(zs)], zeros[:len(zs)]
         for j in range(T - t):
-            station_step(zs, eta[orders[:, j]], cap_t, t + j == last, out=(s, zs, w))
-            total += w
+            station_step(zs, eta[orders[:, j]], cap_t, zero_t, out=(s, zs))
+            total += step_overload(s, zs, t + j == last, out=w)
         keys = weigh(done + total.sum(axis=2, dtype=np.int64))
         i = min(range(len(keys)), key=keys.__getitem__)
         if best_key is None or keys[i] < best_key:
@@ -176,8 +183,8 @@ def _search(objective: Objective, fix, incumbent=None):
             return
         # more than _TAIL open positions follow, so t is not the last
         cap_c = caps[:len(kids)]
-        _, zc, w = station_step(z, eta[kids], cap_c)
-        done_c = done + w.sum(axis=2, dtype=np.int64)
+        s, zc = station_step(z, eta[kids], cap_c, zeros[:len(kids)])
+        done_c = done + step_overload(s, zc, out=s).sum(axis=2, dtype=np.int64)
         eta_c = rest_eta - clipped[kids]
         excess_c = rest_excess - excess[kids]
         bounds = weigh(done_c + _suffix_bound(
@@ -373,8 +380,8 @@ def _cuts(eff, b, c: int, cap, regenerative: bool):
     wide = np.promote_types(eta.dtype, np.int64)   # int64 sums, float at a fractional anchor
     overload = 0
     for t in range(T):
-        _, _, w = station_step(z[t], eta[t], cap, regenerative and t == T - 1,
-                               out=(None, z[t + 1], None))
+        s, _ = station_step(z[t], eta[t], cap, 0, out=(None, z[t + 1]))
+        w = step_overload(s, z[t + 1], regenerative and t == T - 1, out=s)
         overload = overload + w.sum(axis=-1, dtype=wide)
     reach = z[:T] + eta
     over, carry = reach >= cap, reach >= 0

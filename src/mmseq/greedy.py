@@ -13,8 +13,11 @@ over the unassigned set U, with ties broken by lowest vehicle id.  The
 first position skips the overload stage (nothing can overload yet);
 the final position's overload check uses the regenerative border.
 Both filters read one evaluator.station_step over candidates x
-stations on the no-failure dynamics: overload is its w, idle time is
-s - (z + eta).
+stations on the no-failure dynamics: overload is its
+evaluator.step_overload, idle time is s - (z + eta).  construct keeps
+the pool sums sum_{i in U} p_ki and subtracts each chosen vehicle, so a
+weight costs |K| products; utilization_weight is the same formula
+summed from scratch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evaluator import Sequence, station_step
+from .evaluator import Sequence, station_step, step_overload
 from .instance import Instance
 from .seeding import derive_seed, make_rng
 from .timeunits import TICKS_PER_TU
@@ -99,6 +102,10 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
 
     pattern = list(ev_position_pattern(ev_total, n, derive_seed(seed, 0)))
     unassigned = set(range(n))
+    # station x vehicle times and the unassigned pool's sum per station,
+    # Python ints, so each weight is utilization_weight's float exactly
+    times = instance.processing_rows()
+    pool_sums = [sum(row) for row in times]
     z = np.zeros(len(cap), dtype=np.int64)
     order = []
     rows = []
@@ -120,10 +127,10 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
 
         # one recursion step per candidate (rows) and station (columns)
         cand_eta = eta[cands]
-        s, z_next, w = station_step(z, cand_eta, cap, t == last)
+        s, z_next = station_step(z, cand_eta, cap, 0)
         keep = np.ones(len(cands), dtype=bool)
         if t > 0:
-            overload = w.sum(axis=1)
+            overload = step_overload(s, z_next, t == last).sum(axis=1)
             keep = overload == overload.min()
         n_after_overload = int(keep.sum())
         if t < last:
@@ -131,10 +138,17 @@ def construct(instance: Instance, seed: int = 0) -> tuple[Sequence, GreedyTrace]
             keep &= idle == idle[keep].min()
         cands_idle = [v for v, k in zip(cands, keep.tolist()) if k]
 
-        chosen = max(cands_idle,
-                     key=lambda v: (utilization_weight(instance, unassigned, v), -v))
+        denom = instance.n_stations * len(unassigned) * c
+
+        def weight(v):
+            num = sum(row[v] * pool for row, pool in zip(times, pool_sums))
+            return num / denom / TICKS_PER_TU
+
+        chosen = max(cands_idle, key=lambda v: (weight(v), -v))
         order.append(chosen)
         unassigned.remove(chosen)
+        for k, row in enumerate(times):
+            pool_sums[k] -= row[chosen]
         rows.append(GreedyTraceRow(
             position=t, category="ev" if want_ev else "non_ev",
             n_candidates=len(cands), n_after_overload=n_after_overload,

@@ -191,3 +191,27 @@ def test_golden_builds(size_class, n, head, csv_sha256):
     assert order.order[:10] == head
     assert tuple(r.chosen for r in trace.rows) == order.order
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == csv_sha256
+
+
+# The same six instances under construct seeds 0 and 7: the sha256 of
+# each trace CSV, pinned before the pool sums replaced the per-candidate
+# weight formula in construct.
+@pytest.mark.parametrize("size_class, n, csv_sha256", [
+    ("small", 40, ("f426d21a4a9afc695970d6df3cba93de1c75b4bd9a678a7405a6aab0eb9d6290",
+                   "a02056f06455dd17d4ff29c187a811d5414b0e4b90169aa8ca3c438c55bd4771")),
+    ("small", 200, ("07e52ec3d6fcbbc9f356b2a6a93d05ad8a14bca0792268ef74435ce521ec44c6",
+                    "f349081bec79bdc5056fdc3ee443d0c20a2bca5258d17324e1d69f312391f5e9")),
+    ("medium", 40, ("d516d20e99539734fd4029f2d9b7b186ff661176479c4e93d3aeb689deab8444",
+                    "907fffa907bfbde8893b5043547f2db013c720be10f1c75bcf4fd986e5897cd3")),
+    ("medium", 200, ("d69890171f71f402c5f0817adc94e7bd55c8f27f5ea00a8d1822357a40ba05d7",
+                     "fa55765530b064663bd27692589239a7f72cec424d3a99738a4eb3b078a4f280")),
+    ("large", 40, ("50d0782482a36948ec7a738d3b0e0c7ee9bdeb77ac28c195afb585f04ba22747",
+                   "d9d7904674d7eec211156303df4c64a29e1cb075361b0fe98ed433df3ad36e0e")),
+    ("large", 200, ("a36e9fc2b4b829e1e8b19ed5f2dad0c21388a34e9188bd4f0cbe094b3ed4042b",
+                    "fc7c1d47fae0c5bad27a9a9ef272f4aad1dbd85ffac3ede2f2c62234f6e22aa4")),
+])
+def test_builds_are_pinned_across_seeds(size_class, n, csv_sha256):
+    inst = generate(preset_config(n, seed=8, size_class=size_class))
+    for seed, sha in zip((0, 7), csv_sha256):
+        _, trace = construct(inst, seed=seed)
+        assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == sha
