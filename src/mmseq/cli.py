@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 invalid input, 3 size-guard violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .assess import enumeration_solver, lshaped_solver, mrp, tabu_solver
 from .errors import ConfigError, MMSeqError, ParseError, SizeGuardError
-from .evaluator import Objective, Sequence, as_order, evaluate_expected
+from .evaluator import Objective, Sequence, as_order
 from .exact import (ENUMERATION_GUARD, ExactParams, enumerate_optimal,
                     lshaped_solve, root_bound)
 from .greedy import construct
@@ -118,10 +119,22 @@ def _load_instance(path: str) -> Instance:
     return load(path)
 
 
+@contextlib.contextmanager
+def _memory_guard(flag: str, size: int):
+    """Turn a MemoryError of the scenario draws that flag asked for into
+    a size-guard refusal (exit 3) naming the flag."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise SizeGuardError(f"{flag} {size}: not enough memory to draw "
+                             "that many scenarios") from exc
+
+
 def _make_sample(instance: Instance, args) -> tuple[Sample, int | None]:
     if args.sample_size:
-        return (sample(instance, args.sample_size, args.sample_seed),
-                args.sample_seed)
+        with _memory_guard("--sample-size", args.sample_size):
+            smp = sample(instance, args.sample_size, args.sample_seed)
+        return smp, args.sample_seed
     return Sample.degenerate(instance), None
 
 
@@ -252,9 +265,11 @@ def cmd_assess(args) -> int:
     candidate = Sequence(order)
     method = _pick_method(instance, args.method)
     solver = _solver_for(method, args)
-    report = mrp(instance, candidate, solver,
-                 replications=args.replications, n=args.sample_size,
-                 alpha=args.alpha, seed=args.seed)
+    # every replication draws args.sample_size scenarios
+    with _memory_guard("--sample-size", args.sample_size):
+        report = mrp(instance, candidate, solver,
+                     replications=args.replications, n=args.sample_size,
+                     alpha=args.alpha, seed=args.seed)
     text = report.to_csv()
     sys.stdout.write(text)
     if args.out:
@@ -270,15 +285,18 @@ def cmd_compare(args) -> int:
     instance = _load_instance(args.instance)
     method = _pick_method(instance, args.method)
     solver = _solver_for(method, args)
-    smp = sample(instance, args.sample_size, args.sample_seed)
+    with _memory_guard("--sample-size", args.sample_size):
+        smp = sample(instance, args.sample_size, args.sample_seed)
     eval_seed = (args.eval_seed if args.eval_seed is not None
                  else derive_seed(args.seed, 99))
-    eval_smp = sample(instance, args.eval_size, eval_seed)
+    with _memory_guard("--eval-size", args.eval_size):
+        eval_smp = sample(instance, args.eval_size, eval_seed)
 
     nominal_seq, _ = solver(instance, Sample.degenerate(instance), args.seed)
     robust_seq, _ = solver(instance, smp, args.seed)
-    nominal_cost = evaluate_expected(instance, nominal_seq, eval_smp)
-    robust_cost = evaluate_expected(instance, robust_seq, eval_smp)
+    scored = Objective(instance, eval_smp)
+    nominal_cost, robust_cost = map(scored.tu, scored.keys(
+        [as_order(nominal_seq), as_order(robust_seq)]))
     if nominal_cost > 0:
         improvement = 100.0 * (nominal_cost - robust_cost) / nominal_cost
     else:

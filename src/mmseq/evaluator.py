@@ -48,7 +48,12 @@ such as cap broadcasts along the contiguous axis or comes at full
 shape, and so does the floor (see station_step for the measured
 costs).  Objective.ticks steps an orders x stations x scenarios state,
 so the scenario axis is contiguous and each vehicle's eta broadcasts
-along it; it writes eta from a uint8 view of the existence flags.
+along it.  It builds eta for a block of positions at once, as many as
+fit _ETA_BLOCK_BYTES: one gather of the existence flags (as uint8) and
+of the per-vehicle eta, and one multiply into a positions x orders x
+stations x scenarios buffer, whose contiguous per-position views the
+step runs on.  Built per position, the gathers and the multiply took
+about as long as the step and its overload together.
 Trajectory and exact._search keep their per-vehicle scenarios x
 stations blocks.  All three pass cap and floor at full shape, built
 once per call, per search or per trajectory.  greedy.construct and
@@ -112,6 +117,15 @@ STANDARD_ZERO = "standard_zero"
 IMPROVED_NEUTRAL = "improved_neutral"
 
 TRANSFORMS = (REMOVAL, STANDARD_ZERO, IMPROVED_NEUTRAL)
+
+# bytes of eta per block of positions in Objective.ticks, in whole
+# positions, at least one.  On a 2-core Xeon host a V = 200 order
+# scored alike with 512 KB to 1 MB blocks, and 4-5% slower with 256 KB
+# or 1.5 MB ones, on 2198 scenarios; on 95 every size measured alike.
+# Kept below the sampler's 2 MB block (scenario._BLOCK_BYTES): once a
+# draw has freed a block that large, glibc serves this buffer from the
+# heap, not from a fresh mapping that each call faults in again.
+_ETA_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -319,24 +333,53 @@ class Objective:
         (vehicles x scenarios x stations), 0 for a failed vehicle."""
         return np.where(self.exists[:, :, None], self.eta[:, None, :], 0)
 
+    def _batch(self, orders) -> np.ndarray:
+        """orders as a 2-D intp array, one order per row, once every row
+        is checked to be a permutation of 0..V-1."""
+        orders = np.asarray(orders)
+        if orders.ndim != 2:
+            raise ValueError("orders must be a 2-D batch with one order per row, "
+                             f"not an array of shape {orders.shape}")
+        if orders.dtype.kind not in "iu":
+            raise ValueError(f"orders must hold integer vehicle ids, not {orders.dtype}")
+        orders = orders.astype(np.intp, copy=False)
+        n_vehicles = self.eta.shape[0]
+        if orders.shape[1] != n_vehicles:
+            raise ValueError(f"an order has {orders.shape[1]} positions, "
+                             f"the instance has {n_vehicles} vehicles")
+        bad = (np.sort(orders, axis=1) != np.arange(n_vehicles)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"order {int(bad.argmax())} of the batch is not a "
+                             "permutation of 0..V-1")
+        return orders
+
     def ticks(self, orders) -> np.ndarray:
         """Overload in ticks, summed over stations, of each order (rows
-        of a 2-D batch) under each scenario (columns)."""
-        orders = np.asarray(orders, dtype=np.intp)
+        of a 2-D batch of permutations of 0..V-1) under each scenario
+        (columns).
+
+        eta comes in blocks of positions, as many as fit _ETA_BLOCK_BYTES
+        and at least one: one gather and one multiply fill a block, and
+        the step runs on its contiguous per-position views."""
+        orders = self._batch(orders)
         n_orders, T = orders.shape
         last = T - 1 if self.regenerative else T
         # orders x stations x scenarios: the scenario axis is contiguous
         z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=self.eta.dtype)
-        eta, s, w, cap = (np.empty_like(z) for _ in range(4))
+        s, w, cap = (np.empty_like(z) for _ in range(3))
         cap[...] = self.cap[:, None]
         zero, total = np.zeros_like(z), np.zeros_like(z)
         # the flags as 0/1 bytes, multiplied without the bool cast
         flags = self.exists.view(np.uint8)
-        for t in range(T):
-            v = orders[:, t]
-            np.multiply(flags[v][:, None, :], self.eta[v][:, :, None], out=eta)
-            station_step(z, eta, cap, zero, out=(s, z))
-            total += step_overload(s, z, t == last, out=w)
+        block = max(1, min(T, _ETA_BLOCK_BYTES // max(z.nbytes, 1)))
+        etas = np.empty((block,) + z.shape, dtype=z.dtype)
+        for t0 in range(0, T, block):
+            vs = orders[:, t0:t0 + block].T
+            part = etas[:len(vs)]
+            np.multiply(flags[vs][:, :, None, :], self.eta[vs][:, :, :, None], out=part)
+            for t, eta in enumerate(part, t0):
+                station_step(z, eta, cap, zero, out=(s, z))
+                total += step_overload(s, z, t == last, out=w)
         return total.sum(axis=1, dtype=np.int64)
 
     def keys(self, orders) -> list:
@@ -399,6 +442,7 @@ class Trajectory:
     """
 
     def __init__(self, objective: Objective, order: tuple[int, ...]):
+        objective._batch([order])
         self.objective = objective
         self.order = order
         T = len(order)

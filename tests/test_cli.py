@@ -10,6 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from mmseq import assess, cli
 from mmseq.cli import (COMPARE_HEADER, RUN_HEADER, RunRecord, format_solution,
                        main, parse_solution)
 from mmseq.errors import ParseError
@@ -550,6 +551,36 @@ def test_compare_reruns_match(instance_file, capsys):
     rc2, out2, _ = run_cli(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+HUGE = 10**11      # draws: 652 GiB of existence flags at 7 vehicles
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--method", "greedy", "--sample-size", str(HUGE)), "--sample-size"),
+    (("assess", "--method", "enum", "--sample-size", str(HUGE)), "--sample-size"),
+    (("compare", "--method", "enum", "--sample-size", str(HUGE)), "--sample-size"),
+    (("compare", "--method", "enum", "--sample-size", "5", "--eval-size", str(HUGE)),
+     "--eval-size"),
+])
+def test_unallocatable_sample_sizes_exit_3(instance_file, tmp_path, monkeypatch, capsys,
+                                           argv, flag):
+    # the draw raises as numpy would, without allocating anything
+    def draw(instance, n, seed, **kwargs):
+        if n == HUGE:
+            raise MemoryError("Unable to allocate 652. GiB")
+        return sample(instance, n, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "sample", draw)
+    monkeypatch.setattr(assess, "sample", draw)
+    path = instance_file(n=7, seed=100)
+    sol = tmp_path / "sol.txt"
+    sol.write_text(format_solution(load(path), range(7), None), encoding="utf-8")
+    place = ("--instance", path) + (("--solution", str(sol)) if argv[0] == "assess" else ())
+    rc, stdout, err = run_cli(capsys, argv[0], *place, *argv[1:], "--deterministic")
+    assert rc == 3
+    assert err.startswith(f"error: {flag} {HUGE}: not enough memory")
+    assert stdout == ""
 
 
 @pytest.mark.parametrize("argv, flag", [

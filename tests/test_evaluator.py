@@ -170,6 +170,28 @@ def test_sequence_must_be_a_permutation():
         evaluate(inst, (0, 1, 2))
 
 
+def test_orders_that_are_not_permutations_are_refused():
+    inst = generate(preset_config(8, seed=103, size_class="small"))
+    smp = sample(inst, 50, seed=1)
+    objective = Objective(inst, smp)
+    good = tuple(range(8))
+    with pytest.raises(ValueError, match="2 positions, the instance has 8 vehicles"):
+        evaluate_expected(inst, (0, 1), smp)
+    for bad in ((0, 0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6, 8),
+                (-1, 0, 1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="order 0 of the batch is not a permutation"):
+            evaluate_expected(inst, bad, smp)
+        with pytest.raises(ValueError, match="order 1 of the batch is not a permutation"):
+            objective.keys([good, bad])
+        with pytest.raises(ValueError, match="not a permutation"):
+            objective.trajectory(bad)
+    with pytest.raises(ValueError, match=r"2-D batch .* shape \(8,\)"):
+        objective.ticks(good)
+    # truncated to ints, these would read as the order 0..7
+    with pytest.raises(ValueError, match="integer vehicle ids, not float64"):
+        evaluate_expected(inst, (0.5, 1, 2, 3, 4, 5, 6, 7.9), smp)
+
+
 def test_degenerate_sample_matches_plain_evaluation():
     inst = generate(preset_config(8, seed=21, size_class="small"))
     order = tuple(range(8))

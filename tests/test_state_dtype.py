@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mmseq import evaluator
 from mmseq.evaluator import (Objective, evaluate, partial_reevaluate,
                              vehicle_times)
 from mmseq.exact import enumerate_optimal, root_bound
@@ -104,6 +105,26 @@ def test_ticks_match_the_reference(name, regen):
     inst, smp, _ = case(name)
     rng = make_rng(8)
     orders = [random_order(rng, inst.n_vehicles) for _ in range(3)]
+    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
+        [evaluate(inst, o, s, regenerative=regen).total_overload
+         for s, _ in smp.unique] for o in orders]
+
+
+# over the six positions of the small cases: one block of 8 (T below the
+# block) or of 6 (T equal to it), blocks of 5 (T one above it), of 4
+# (the last one part-full), of 2, and of 1 from a 1-byte budget, below
+# the bytes of one position
+@pytest.mark.parametrize("block", [8, 6, 5, 4, 2, 1])
+@pytest.mark.parametrize("regen", [True, False])
+@pytest.mark.parametrize("name", SMALL_CASES)
+def test_blocked_ticks_match_the_reference(monkeypatch, name, regen, block):
+    inst, smp, dtype = case(name)
+    rng = make_rng(10)
+    orders = [random_order(rng, inst.n_vehicles) for _ in range(3)]
+    per_position = len(orders) * inst.n_stations * smp.n_unique * np.dtype(dtype).itemsize
+    # the largest budget that holds `block` positions and no more
+    budget = 1 if block == 1 else (block + 1) * per_position - 1
+    monkeypatch.setattr(evaluator, "_ETA_BLOCK_BYTES", budget)
     assert Objective(inst, smp, regen).ticks(orders).tolist() == [
         [evaluate(inst, o, s, regenerative=regen).total_overload
          for s, _ in smp.unique] for o in orders]
