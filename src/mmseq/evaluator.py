@@ -159,6 +159,26 @@ def _check_vehicles(instance: Instance, n_vehicles: int, what: str) -> None:
                          f"the instance has {instance.n_vehicles}")
 
 
+def _permutations(orders, n_vehicles: int) -> np.ndarray:
+    """orders as a 2-D intp array, one order per row, once every row is
+    checked to be a permutation of 0..n_vehicles-1."""
+    orders = np.asarray(orders)
+    if orders.ndim != 2:
+        raise ValueError("orders must be a 2-D batch with one order per row, "
+                         f"not an array of shape {orders.shape}")
+    if orders.shape[1] != n_vehicles:
+        raise ValueError(f"an order has {orders.shape[1]} positions, "
+                         f"the instance has {n_vehicles} vehicles")
+    if orders.dtype.kind not in "iu":
+        raise ValueError(f"orders must hold integer vehicle ids, not {orders.dtype}")
+    orders = orders.astype(np.intp, copy=False)
+    bad = (np.sort(orders, axis=1) != np.arange(n_vehicles)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"order {int(bad.argmax())} of the batch is not a "
+                         "permutation of 0..V-1")
+    return orders
+
+
 def vehicle_times(instance: Instance, scenario: Scenario,
                   transform: str = IMPROVED_NEUTRAL) -> list[list[int]]:
     """Per-station processing time of every vehicle (by id) under the
@@ -278,8 +298,7 @@ def evaluate(instance: Instance, sequence, scenario: Scenario | None = None,
              regenerative: bool = True) -> EvalState:
     """Evaluate under the neutralizing transform (the package default)."""
     order = as_order(sequence)
-    if len(order) != instance.n_vehicles:
-        raise ValueError("sequence length does not match instance")
+    _permutations([order], instance.n_vehicles)
     if scenario is None:
         scenario = Scenario.all_exist(instance.n_vehicles)
     b_rows = effective_times(instance, order, scenario, IMPROVED_NEUTRAL)
@@ -333,26 +352,6 @@ class Objective:
         (vehicles x scenarios x stations), 0 for a failed vehicle."""
         return np.where(self.exists[:, :, None], self.eta[:, None, :], 0)
 
-    def _batch(self, orders) -> np.ndarray:
-        """orders as a 2-D intp array, one order per row, once every row
-        is checked to be a permutation of 0..V-1."""
-        orders = np.asarray(orders)
-        if orders.ndim != 2:
-            raise ValueError("orders must be a 2-D batch with one order per row, "
-                             f"not an array of shape {orders.shape}")
-        if orders.dtype.kind not in "iu":
-            raise ValueError(f"orders must hold integer vehicle ids, not {orders.dtype}")
-        orders = orders.astype(np.intp, copy=False)
-        n_vehicles = self.eta.shape[0]
-        if orders.shape[1] != n_vehicles:
-            raise ValueError(f"an order has {orders.shape[1]} positions, "
-                             f"the instance has {n_vehicles} vehicles")
-        bad = (np.sort(orders, axis=1) != np.arange(n_vehicles)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"order {int(bad.argmax())} of the batch is not a "
-                             "permutation of 0..V-1")
-        return orders
-
     def ticks(self, orders) -> np.ndarray:
         """Overload in ticks, summed over stations, of each order (rows
         of a 2-D batch of permutations of 0..V-1) under each scenario
@@ -361,7 +360,7 @@ class Objective:
         eta comes in blocks of positions, as many as fit _ETA_BLOCK_BYTES
         and at least one: one gather and one multiply fill a block, and
         the step runs on its contiguous per-position views."""
-        orders = self._batch(orders)
+        orders = _permutations(orders, len(self.eta))
         n_orders, T = orders.shape
         last = T - 1 if self.regenerative else T
         # orders x stations x scenarios: the scenario axis is contiguous
@@ -386,9 +385,13 @@ class Objective:
         """Comparison key of each order in the batch (Python numbers)."""
         return self._weigh(self.ticks(orders))
 
+    def _dot_fits(self, ticks) -> bool:
+        """Whether ticks @ weights, in int64, cannot wrap."""
+        return int(np.abs(ticks).max(initial=0)) * self.n < 2 ** 63
+
     def _weigh(self, ticks) -> list:
         """Weighted sum over scenarios (columns) of each row of ticks."""
-        if int(np.abs(ticks).max(initial=0)) * self.n < 2 ** 63:  # no int64 wrap
+        if self._dot_fits(ticks):
             return (ticks @ self.weights).tolist()
         weights = self.weights.tolist()
         return [sum(map(operator.mul, row, weights)) for row in ticks.tolist()]
@@ -442,7 +445,7 @@ class Trajectory:
     """
 
     def __init__(self, objective: Objective, order: tuple[int, ...]):
-        objective._batch([order])
+        _permutations([order], len(objective.eta))
         self.objective = objective
         self.order = order
         T = len(order)

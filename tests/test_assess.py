@@ -246,6 +246,18 @@ def test_mrp_small_bounds_for_good_candidates():
 
 # -------------------------------------------------------------- adapters
 
+def test_exact_small_mrp_rows_are_pinned():
+    # the bench's exact-small MRP on its lshaped order; recorded before
+    # dominance pruning was added to the exact engine
+    inst = generate(preset_config(8, 103, "small"))
+    report = mrp(inst, (0, 6, 1, 7, 5, 3, 2, 4), enumeration_solver(),
+                 replications=2, n=100, seed=5)
+    assert [(r.replication, f"{r.sample_optimum:.6f}", f"{r.candidate_cost:.6f}",
+             f"{r.gap:.6f}") for r in report.rows] == [
+        (1, "14.955425", "15.205900", "0.250475"),
+        (2, "14.142628", "14.142628", "0.000000")]
+
+
 def test_enumeration_adapter_matches_direct_call():
     inst = generate(preset_config(6, seed=23, size_class="small"))
     smp = sample(inst, 30, seed=5)

@@ -178,9 +178,12 @@ def test_orders_that_are_not_permutations_are_refused():
     with pytest.raises(ValueError, match="2 positions, the instance has 8 vehicles"):
         evaluate_expected(inst, (0, 1), smp)
     for bad in ((0, 0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6, 8),
-                (-1, 0, 1, 2, 3, 4, 5, 6)):
+                (-1, 0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6, -1)):
         with pytest.raises(ValueError, match="order 0 of the batch is not a permutation"):
             evaluate_expected(inst, bad, smp)
+        # evaluate feeds trace_csv, so a trace of a non-permutation is refused too
+        with pytest.raises(ValueError, match="order 0 of the batch is not a permutation"):
+            evaluate(inst, bad)
         with pytest.raises(ValueError, match="order 1 of the batch is not a permutation"):
             objective.keys([good, bad])
         with pytest.raises(ValueError, match="not a permutation"):
@@ -190,6 +193,10 @@ def test_orders_that_are_not_permutations_are_refused():
     # truncated to ints, these would read as the order 0..7
     with pytest.raises(ValueError, match="integer vehicle ids, not float64"):
         evaluate_expected(inst, (0.5, 1, 2, 3, 4, 5, 6, 7.9), smp)
+    with pytest.raises(ValueError, match="integer vehicle ids, not float64"):
+        evaluate(inst, (0.0, 1, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(ValueError, match="2 positions, the instance has 8 vehicles"):
+        evaluate(inst, (0, 1))
 
 
 def test_degenerate_sample_matches_plain_evaluation():

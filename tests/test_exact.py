@@ -1,11 +1,12 @@
 """Exact layer: recourse LPs, dual cuts, enumeration, branch-and-cut."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mmseq.exact
 from mmseq.errors import SizeGuardError
@@ -389,15 +390,10 @@ def station_cost(inst, order, scen, regen) -> int:
                for row, st in zip(inst.processing_rows(), inst.stations))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
-       st.booleans(), st.sampled_from(["none", "optimum", "above", "random"]))
-def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
-    rng = make_rng(seed)
-    n = int(rng.integers(2, 8))
-    inst = random_instance(rng, n=n)
-    smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
-    fixing = np.full((n, n), -1, dtype=np.int8)     # vehicle x position
+def random_fixing(rng, n: int, fix: bool):
+    """A vehicle x position fixing matrix: all free, or with about 30% of
+    some permutation's pairs fixed in and up to 2n other pairs forbidden."""
+    fixing = np.full((n, n), -1, dtype=np.int8)
     if fix:
         perm = random_order(rng, n)
         for t, v in enumerate(perm):
@@ -407,6 +403,28 @@ def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
             v, t = int(rng.integers(0, n)), int(rng.integers(0, n))
             if fixing[v, t] != 1:
                 fixing[v, t] = 0
+    return fixing
+
+
+def incumbent_key(rng, kind: str, best, top):
+    """The incumbent a search starts from, given the best and the largest
+    key (None when no order is allowed): none, the optimum, one above
+    it, or random below twice the largest."""
+    if kind == "random":
+        return int(rng.integers(0, 2 + 2 * (top or 0)))
+    return {"none": None, "optimum": best,
+            "above": None if best is None else best + 1}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.booleans(), st.sampled_from(["none", "optimum", "above", "random"]))
+def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 8))
+    inst = random_instance(rng, n=n)
+    smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
+    fixing = random_fixing(rng, n, fix)                # vehicle x position
     keys = {}
     for order in itertools.permutations(range(n)):
         if all(order[t] == v for v, t in np.argwhere(fixing == 1)) and \
@@ -414,15 +432,53 @@ def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
             keys[order] = sum(count * station_cost(inst, order, scen, regen)
                               for scen, count in smp.unique)
     best = min(keys, key=keys.get) if keys else None   # first in lex order
-    bound = {"none": None, "optimum": keys.get(best), "random": None,
-             "above": None if best is None else keys[best] + 1}[incumbent]
-    if incumbent == "random":
-        bound = int(rng.integers(0, 2 + 2 * max(keys.values(), default=0)))
+    bound = incumbent_key(rng, incumbent, keys.get(best), max(keys.values(), default=None))
     got = _search(Objective(inst, smp, regen), fixing, bound)
     if best is None or bound is not None and keys[best] >= bound:
         assert got is None
     else:
         assert got == (best, keys[best])
+
+
+@functools.cache
+def lex_permutations(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1, one per row, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.booleans(), st.sampled_from(["none", "optimum", "above", "random"]))
+# each fails when dominance compares keys alone, labels of another set of
+# the same size, or one station's entry states
+@example(seed=4, regen=False, fix=False, incumbent="none")
+@example(seed=18, regen=True, fix=False, incumbent="none")
+def test_search_matches_batched_enumeration(seed, regen, fix, incumbent):
+    # at 8-9 vehicles the engine labels nodes at depths 2 to 4, so a set
+    # collects the labels of several earlier prefixes
+    rng = make_rng(seed)
+    n = int(rng.integers(8, 10))
+    inst = random_instance(rng, n=n)
+    smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
+    objective = Objective(inst, smp, regen)
+    fixing = random_fixing(rng, n, fix)
+    perms = lex_permutations(n)
+    allowed = np.ones(len(perms), dtype=bool)
+    for v, t in np.argwhere(fixing == 1):
+        allowed &= perms[:, t] == v
+    for v, t in np.argwhere(fixing == 0):
+        allowed &= perms[:, t] != v
+    perms = perms[allowed]
+    keys = np.array([key for i in range(0, len(perms), 40320)
+                     for key in objective.keys(perms[i:i + 40320])], dtype=np.int64)
+    best = int(keys.argmin()) if len(keys) else None   # first in lex order
+    bound = incumbent_key(rng, incumbent, None if best is None else int(keys[best]),
+                          int(keys.max(initial=0)))
+    got = _search(objective, fixing, bound)
+    if best is None or bound is not None and keys[best] >= bound:
+        assert got is None
+    else:
+        assert got == (tuple(perms[best].tolist()), keys[best])
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,6 +541,55 @@ def test_enumerate_deterministic(rng):
     inst = random_instance(rng, n=6)
     smp = sample(inst, 20, seed=4)
     assert enumerate_optimal(inst, smp) == enumerate_optimal(inst, smp)
+
+
+def test_search_weighs_huge_counts_exactly():
+    # multiplicities so large that an int64 key would wrap: the tails
+    # take the first minimal key in Python, and labels hold Python keys
+    inst = generate(preset_config(8, seed=22, size_class="small"))
+    smp = sample(inst, 40, seed=4)
+    huge = Sample(n=3 * 2**61, seed=None, existence=smp.existence[:, :2],
+                  weights=[2**61, 2**62])
+    objective = Objective(inst, huge)
+    perms = lex_permutations(8)
+    keys = objective.keys(perms)
+    best = min(range(len(keys)), key=keys.__getitem__)     # first in lex order
+    assert keys[best] >= 2**63
+    got = _search(objective, np.full((8, 8), -1, dtype=np.int8))
+    assert got == (tuple(perms[best].tolist()), keys[best])
+
+
+# (vehicles, class, seed, order, key) of enumerate_optimal on
+# sample(inst, 100, 200), recorded before dominance pruning was added
+ENUMERATION_PINS = [
+    (9, "small", 1, (4, 6, 5, 2, 8, 7, 0, 3, 1), 159746932),
+    (9, "small", 103, (8, 5, 3, 1, 0, 6, 4, 2, 7), 16153512),
+    (9, "medium", 1, (2, 6, 5, 4, 3, 8, 7, 0, 1), 63587000),
+    (9, "medium", 103, (0, 2, 1, 5, 8, 6, 7, 4, 3), 134879000),
+    (9, "large", 1, (4, 3, 0, 6, 5, 2, 8, 7, 1), 145587384),
+    (9, "large", 103, (8, 3, 1, 0, 5, 6, 4, 2, 7), 15705245),
+    (10, "small", 1, (7, 3, 4, 6, 1, 5, 9, 2, 8, 0), 33919698),
+    (10, "small", 103, (0, 1, 5, 6, 4, 7, 8, 9, 2, 3), 65310982),
+    (10, "medium", 1, (4, 3, 0, 6, 5, 2, 8, 7, 1, 9), 163376100),
+    (10, "medium", 103, (0, 1, 2, 3, 6, 7, 8, 5, 4, 9), 11600100),
+    (10, "large", 1, (7, 9, 2, 3, 5, 1, 6, 4, 8, 0), 31317673),
+    (10, "large", 103, (0, 1, 5, 6, 4, 7, 8, 9, 2, 3), 65310982),
+    (11, "small", 1, (5, 3, 8, 1, 2, 4, 10, 7, 6, 9, 0), 89357181),
+    (11, "small", 103, (0, 1, 3, 5, 8, 4, 7, 9, 6, 10, 2), 44796816),
+    (11, "medium", 1, (3, 1, 6, 4, 8, 0, 7, 5, 10, 2, 9), 96482000),
+    (11, "medium", 103, (0, 1, 3, 4, 5, 6, 10, 7, 8, 9, 2), 65305600),
+    (11, "large", 1, (5, 1, 3, 8, 2, 6, 4, 10, 7, 9, 0), 89956509),
+    (11, "large", 103, (0, 4, 7, 8, 9, 6, 10, 5, 3, 1, 2), 59966724),
+]
+
+
+@pytest.mark.parametrize("n_vehicles, size_class, seed, order, key", ENUMERATION_PINS)
+def test_enumeration_is_pinned_on_a_preset_grid(n_vehicles, size_class, seed, order, key):
+    inst = generate(preset_config(n_vehicles, seed, size_class))
+    smp = sample(inst, 100, 200)
+    seq, val = enumerate_optimal(inst, smp)
+    assert seq.order == order
+    assert val == Objective(inst, smp).tu(key)
 
 
 def test_enumerate_guard():
