@@ -102,8 +102,7 @@ def _aggregate(rows, alpha: float, n: int, aborted_at=None) -> MRPReport:
 
 
 def mrp(instance: Instance, candidate, solver: SAASolver, *,
-        replications: int, n: int, alpha: float = 0.05, seed: int = 0,
-        forbid_low_risk_failures: bool = False) -> MRPReport:
+        replications: int, n: int, alpha: float = 0.05, seed: int = 0) -> MRPReport:
     """Estimate a (1 - alpha) upper confidence bound on the candidate's
     optimality gap from `replications` fresh samples of size n.
 
@@ -119,8 +118,7 @@ def mrp(instance: Instance, candidate, solver: SAASolver, *,
         raise ValueError("replication sample size must be positive")
     rows = []
     for m in range(1, replications + 1):
-        smp = sample(instance, n, derive_seed(seed, m),
-                     forbid_low_risk_failures=forbid_low_risk_failures)
+        smp = sample(instance, n, derive_seed(seed, m))
         try:
             _, z_m = solver(instance, smp, derive_seed(seed, m, 1))
         except SizeGuardError:
@@ -135,11 +133,11 @@ def mrp(instance: Instance, candidate, solver: SAASolver, *,
 # ---------------------------------------------------------------------------
 # ready-made solver adapters
 
-def enumeration_solver(regenerative: bool = True) -> SAASolver:
+def enumeration_solver() -> SAASolver:
     from .exact import enumerate_optimal
 
     def run(instance, smp, seed):
-        return enumerate_optimal(instance, smp, regenerative)
+        return enumerate_optimal(instance, smp)
     return run
 
 

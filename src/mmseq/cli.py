@@ -155,6 +155,11 @@ def _search_params(args) -> SearchParams:
     return SearchParams(seed=args.seed)
 
 
+def _exact_params(args) -> ExactParams:
+    """--deterministic drops --time-limit, so lshaped runs to a proof."""
+    return ExactParams(time_limit=None if args.deterministic else args.time_limit)
+
+
 def _pick_method(instance: Instance, requested: str) -> str:
     if requested != "auto":
         return requested
@@ -165,8 +170,7 @@ def _solver_for(method: str, args):
     if method == "enum":
         return enumeration_solver()
     if method == "lshaped":
-        return lshaped_solver(ExactParams(
-            time_limit=None if args.deterministic else args.time_limit))
+        return lshaped_solver(_exact_params(args))
     if method == "ts":
         return tabu_solver(_search_params(args))
     raise ConfigError(f"method {method!r} cannot solve sampled problems")
@@ -213,9 +217,7 @@ def cmd_solve(args) -> int:
         lower = upper = value
         gap = 0.0
     elif method == "lshaped":
-        ex = ExactParams(
-            time_limit=None if args.deterministic else args.time_limit)
-        result = lshaped_solve(instance, smp, ex)
+        result = lshaped_solve(instance, smp, _exact_params(args))
         seq = result.sequence
         lower, upper = result.lower_bound, result.upper_bound
         gap = upper - lower

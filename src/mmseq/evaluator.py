@@ -14,9 +14,13 @@ scenario transform less the cycle time, and cap = l - c:
 
 The regenerative end charges whatever work would push the next cycle
 past the left border, so a full-information run can be cut at any
-window boundary; switching it off reproduces an open-ended window.
-The recursion attains the optimum of the equivalent linear program
-position by position, which the exact-solver tests cross-check.
+window boundary.  Every batched path solves this one model.  The
+per-scenario references, evaluate_station and evaluate, can also leave
+the window open (w[T-1] = s[T-1] - min(s[T-1], cap), the interior
+rule): the open end charges exactly the exit state z[T] less, which the
+tests use to check the batched paths against both.  The recursion
+attains the optimum of the equivalent linear program position by
+position, which the exact-solver tests cross-check.
 
 Failed vehicles are neutralized rather than removed: their effective
 processing time equals the cycle time (eta = 0), which provably leaves
@@ -73,25 +77,31 @@ station's recursion forms, so int32 is exact where it is picked:
 Sums over stations, positions or vehicles (keys, probe deltas,
 Trajectory.value, root bounds and the exact search's prefix costs) are
 taken with dtype=np.int64, whatever the platform's default integer.
-greedy.construct keeps its own (K,) int64 arrays.  A row's overload
-over any set of positions is at most its overload over the stretch
-that spans them, so a probe's change per row, less the tail term
-below (at most cap), lies within +-2 * tick bound; a Trajectory
-weighs its rows with one int64 dot product when
-2 * tick bound * stations * N < 2**63, and exactly in Python
-integers otherwise.
+greedy.construct keeps its own (K,) int64 arrays.
+
+One flag per objective, Objective.dot_exact, decides where weighing by
+the multiplicities may take an int64 dot product.  By work
+conservation a row's overload over any stretch of positions plus its
+exit state is at most its entry state plus sum_v max(eta_v, 0), so at
+most tick bound.  Every weighed row value thus lies within
++-2 * tick bound: keys, root bounds, the exact search's prefix plus
+suffix bounds, and a probe's change over its windows less the tail
+term below (at most cap).  With multiplicities summing to N, no partial
+sum leaves +-2 * tick bound * stations * N; dot_exact is that bound
+< 2**63, and where it fails the sums are taken exactly in Python
+integers.
 
 A probe can stop early once its move is proven too costly.  For one
 (scenario, station) row and fixed vehicles, let R_t(z) be the overload
 the recursion runs up from position t to the end, from entry state z.
-R_t is nondecreasing and 1-Lipschitz in z, under both regenerative
-settings.  Step entry states z >= z' through one position: max(., 0)
-and min(., cap) are nondecreasing and 1-Lipschitz, so
-0 <= s - s' <= z - z' and 0 <= z_next - z'_next <= s - s', and then
-w - w' = (s - s') - (z_next - z'_next) >= 0.  So
-(w - w') + (z_next - z'_next) = s - s' <= z - z', and at the
-regenerative last position w - w' = s - s' <= z - z' directly.  The sum
-over the positions from t telescopes to 0 <= R_t(z) - R_t(z') <= z - z'.
+R_t is nondecreasing and 1-Lipschitz in z.  Step entry states z >= z'
+through one position: max(., 0) and min(., cap) are nondecreasing and
+1-Lipschitz, so 0 <= s - s' <= z - z' and 0 <= z_next - z'_next <=
+s - s', and then w - w' = (s - s') - (z_next - z'_next) >= 0.  So
+(w - w') + (z_next - z'_next) = s - s' <= z - z' at an interior
+position, and at the last position, which charges all of s,
+w - w' = s - s' <= z - z' directly.  The sum over the positions from t
+telescopes to 0 <= R_t(z) - R_t(z') <= z - z'.
 Past a move's t2 both orders place the same vehicles, so per row the
 new order's overload from t on is at least the cached one less
 max(z_old[t] - z_new[t], 0), and partial_reevaluate weighs that into
@@ -329,12 +339,11 @@ class Objective:
     objective in TU.
     """
 
-    def __init__(self, instance: Instance, smp: Sample, regenerative: bool = True):
+    def __init__(self, instance: Instance, smp: Sample):
         self.n = smp.n
         self.exists = smp.existence
         self.weights = smp.weights
         _check_vehicles(instance, self.exists.shape[0], "the scenario set")
-        self.regenerative = regenerative
         c = instance.cycle_time
         lengths = np.array([st.length for st in instance.stations], dtype=np.int64)
         p = np.array([veh.processing_times for veh in instance.vehicles], dtype=np.int64)
@@ -342,6 +351,9 @@ class Objective:
         # docstring proves every state value fits, else int64
         self.tick_bound = int((lengths + c + np.abs(p - c).sum(axis=0)).max())
         dtype = np.int32 if self.tick_bound < 2**31 else np.int64
+        # whether every weighing may take an int64 dot product (the
+        # module docstring bounds what is weighed)
+        self.dot_exact = 2 * self.tick_bound * len(lengths) * self.n < 2**63
         self.cap = (lengths - c).astype(dtype)
         # eta[v] = p[v] - c, vehicle v's eta at every station when it exists
         self.eta = (p - c).astype(dtype)
@@ -362,7 +374,6 @@ class Objective:
         the step runs on its contiguous per-position views."""
         orders = _permutations(orders, len(self.eta))
         n_orders, T = orders.shape
-        last = T - 1 if self.regenerative else T
         # orders x stations x scenarios: the scenario axis is contiguous
         z = np.zeros((n_orders, len(self.cap), self.exists.shape[1]), dtype=self.eta.dtype)
         s, w, cap = (np.empty_like(z) for _ in range(3))
@@ -378,20 +389,16 @@ class Objective:
             np.multiply(flags[vs][:, :, None, :], self.eta[vs][:, :, :, None], out=part)
             for t, eta in enumerate(part, t0):
                 station_step(z, eta, cap, zero, out=(s, z))
-                total += step_overload(s, z, t == last, out=w)
+                total += step_overload(s, z, t == T - 1, out=w)
         return total.sum(axis=1, dtype=np.int64)
 
     def keys(self, orders) -> list:
         """Comparison key of each order in the batch (Python numbers)."""
         return self._weigh(self.ticks(orders))
 
-    def _dot_fits(self, ticks) -> bool:
-        """Whether ticks @ weights, in int64, cannot wrap."""
-        return int(np.abs(ticks).max(initial=0)) * self.n < 2 ** 63
-
     def _weigh(self, ticks) -> list:
         """Weighted sum over scenarios (columns) of each row of ticks."""
-        if self._dot_fits(ticks):
+        if self.dot_exact:
             return (ticks @ self.weights).tolist()
         weights = self.weights.tolist()
         return [sum(map(operator.mul, row, weights)) for row in ticks.tolist()]
@@ -404,12 +411,11 @@ class Objective:
         return Trajectory(self, as_order(sequence))
 
 
-def evaluate_expected(instance: Instance, sequence, smp: Sample,
-                      regenerative: bool = True) -> float:
+def evaluate_expected(instance: Instance, sequence, smp: Sample) -> float:
     """SAA objective in TU: (1/N) sum over draws of the scenario cost,
     computed over deduplicated scenarios with integer weights so the
     multiset and deduplicated forms agree exactly."""
-    objective = Objective(instance, smp, regenerative)
+    objective = Objective(instance, smp)
     return objective.tu(objective.keys([as_order(sequence)])[0])
 
 
@@ -451,7 +457,7 @@ class Trajectory:
         T = len(order)
         n_scenarios, n_stations = objective.exists.shape[1], len(objective.cap)
         # the position whose overload is charged against the cycle time
-        self._last = T - 1 if objective.regenerative else T
+        self._last = T - 1
         dtype = objective.eta.dtype
         self.z = np.zeros((T + 1, n_scenarios, n_stations), dtype=dtype)
         self.w = np.zeros((T, n_scenarios, n_stations), dtype=dtype)
@@ -467,9 +473,6 @@ class Trajectory:
         self._z_rows = list(self.z)
         self._zbuf_rows = list(self._zbuf)
         self._wbuf_rows = list(self._wbuf)
-        # every entry _weigh_rows weighs lies within +-2 * tick_bound (the
-        # module docstring), so below this its int64 dot cannot wrap
-        self._dot_exact = 2 * objective.tick_bound * n_stations * objective.n < 2**63
         self._probe = None
         # against the zero w, the scan's change is the order's overload
         _, diff, _ = self._scan(order, 0, T - 1, False)
@@ -531,7 +534,7 @@ class Trajectory:
     def _weigh_rows(self, rows) -> int:
         """sum_w n_w * (sum over stations of rows[w]), for a scenarios x
         stations int64 array of overload changes, exactly."""
-        if self._dot_exact:
+        if self.objective.dot_exact:
             return int(rows.sum(axis=1) @ self.objective.weights)
         return self.objective._weigh(rows.sum(axis=1)[None, :])[0]
 
@@ -541,7 +544,7 @@ class Trajectory:
 
         Those positions still hold s in _wbuf: each window is turned into
         w with one block step_overload before it is read, all but the
-        regenerative last position, whose w is s.  Every scanned position
+        last position, whose w is s.  Every scanned position
         is read once, by the first call whose start is at or below it."""
         for a, b in windows:
             a = max(a, start)

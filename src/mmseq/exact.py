@@ -42,8 +42,11 @@ and prunes a child when its prefix overload plus a suffix bound
 reaches the incumbent key.  The bound per (scenario, station) is the
 larger of work conservation, with each remaining vehicle's eta clipped
 at -cap, and the sum of each remaining vehicle's own excess over the
-window.  The incumbent is replaced only by a strictly smaller key, so
-the result is the lexicographically smallest argmin.
+window.  Work is conserved because every position passes on what it
+does not charge, z + eta + idle = w + z_next, and the regenerative last
+position charges all of it, so the rest's overload is its entry state
+plus its eta and idle.  The incumbent is replaced only by a strictly
+smaller key, so the result is the lexicographically smallest argmin.
 
 The engine also prunes dominated prefixes, bounded dynamic programming
 over placed sets (Bautista, Companys & Corominas 1996, EJOR 88:101).  A
@@ -51,14 +54,16 @@ child at depth >= 2 goes when an earlier node placed the same vehicle
 set (a bitmask) with an entry state z <= the child's in every
 (scenario, station) row and an exact weighted prefix key <= the
 child's.  The same set leaves the same completions allowed, each row's
-remaining overload is nondecreasing in z (the evaluator module proves
-it), and the earlier prefix is lexicographically smaller, so for every
-completion the earlier prefix costs no more and comes first: the
-smallest argmin survives, and with an incumbent only strict
-improvements count.  The labels live for one search, at most
-_LABELS_PER_SET per set and _LABEL_BYTES of entry states in all;
-pruning against any subset of the earlier nodes is sound, so a full
-store only stops adding labels.
+remaining overload is nondecreasing in z (stepping entry states
+z >= z' gives w >= w' at an interior position, and at the last one,
+which charges all of s, w - w' = s - s' >= 0; the evaluator module
+proves it with the 1-Lipschitz bound), and the earlier prefix is
+lexicographically smaller, so for every completion the earlier prefix
+costs no more and comes first: the smallest argmin survives, and with
+an incumbent only strict improvements count.  The labels live for one
+search, at most _LABELS_PER_SET per set and _LABEL_BYTES of entry
+states in all; pruning against any subset of the earlier nodes is
+sound, so a full store only stops adding labels.
 
 The last _TAIL open positions are scored from the node's state as one
 lean batch: the completions are free[perms] when every tail position is
@@ -66,7 +71,7 @@ open, the allowed filter runs only when the fixing matrix has a 0
 entry, eta is gathered once per block of positions into a buffer of
 _TAIL_ETA_BYTES, the step's s buffer takes the overload, the station
 sums are one product with int64 ones, and the first minimal key is
-np.argmin of the int64 key vector unless it could wrap.
+np.argmin of the int64 key vector when Objective.dot_exact holds.
 """
 
 from __future__ import annotations
@@ -126,34 +131,32 @@ def _rest_terms(eta, cap):
     return np.maximum(eta, -cap), np.maximum(eta - cap, 0)
 
 
-def _suffix_bound(z, rest_eta, rest_excess, cap, regenerative: bool):
+def _suffix_bound(z, rest_eta, rest_excess):
     """Least overload any completion adds, per (scenario, station), from
     entry state z with rest_eta = sum of max(eta, -cap) and rest_excess =
     sum of max(0, eta - cap) over the vehicles still to place (the terms
     of _rest_terms).
 
-    Work conservation: the rest's overload is
-    z + sum(eta) + sum(idle) - z_exit, with z_exit = 0 at a regenerative
-    end and <= cap at an open one.  A vehicle idles
+    Work conservation: at each position z_t + eta_t + idle_t = s_t =
+    w_t + z_{t+1}, and the last position charges all of s, so nothing
+    leaves the window and the rest's overload is
+    z + sum(eta) + sum(idle).  A vehicle idles
     idle_t = max(0, -(z_t + eta_t)), and its entry state z_t <= cap, so
     idle_t >= max(0, -eta_t - cap) and eta_t + idle_t >= max(eta_t, -cap):
     the clipped sum never exceeds sum(eta) + sum(idle) (needs cap >= 0).
     Each vehicle alone: w >= s - cap >= eta - cap inside the window and
-    w = s >= eta at the regenerative last slot.  rest_excess >= 0 also
-    clamps the conserved work at 0.
+    w = s >= eta at the last position.  rest_excess >= 0 also clamps the
+    conserved work at 0.
     """
-    conserved = z + rest_eta if regenerative else z + rest_eta - cap
-    return np.maximum(conserved, rest_excess)
+    return np.maximum(z + rest_eta, rest_excess)
 
 
 def root_bound(objective: Objective) -> np.ndarray:
     """Least overload of any order under each scenario, in ticks summed
     over stations: _suffix_bound from z = 0 over every vehicle."""
-    cap = objective.cap
-    clipped, excess = _rest_terms(objective.scenario_eta, cap)
+    clipped, excess = _rest_terms(objective.scenario_eta, objective.cap)
     return _suffix_bound(0, clipped.sum(axis=0, dtype=np.int64),
-                         excess.sum(axis=0, dtype=np.int64), cap,
-                         objective.regenerative).sum(axis=-1, dtype=np.int64)
+                         excess.sum(axis=0, dtype=np.int64)).sum(axis=-1, dtype=np.int64)
 
 
 def _search(objective: Objective, fix, incumbent=None):
@@ -186,8 +189,8 @@ def _search(objective: Objective, fix, incumbent=None):
     completions are free[perms] when every tail position is open, the
     allowed filter runs only when fix has a 0 entry, eta is gathered
     once per block of positions (as many as fit _TAIL_ETA_BYTES), and
-    the first minimal key is np.argmin of the int64 key vector unless
-    that vector could wrap.
+    the first minimal key is np.argmin of the int64 key vector when
+    Objective.dot_exact holds.
     """
     cap = objective.cap
     T = len(fix)
@@ -219,7 +222,6 @@ def _search(objective: Objective, fix, incumbent=None):
     # the sums exact
     ones = np.ones(eta.shape[2], dtype=np.int64)
     open_after = [slots[t:].count(-1) for t in range(T + 1)]
-    last = T - 1 if objective.regenerative else T
     weigh = objective._weigh
     best_order, best_key = None, incumbent
     # placed-vehicle bitmask -> labels of the earlier nodes that placed
@@ -254,10 +256,10 @@ def _search(objective: Objective, fix, incumbent=None):
             # take buffers out= and took 3x as long at 50 scenarios
             for j, eta_j in enumerate(np.take(eta, vs, axis=0, out=part, mode="clip"), t + j0):
                 station_step(zs, eta_j, cap_t, zero_t, out=(s, zs))
-                total += step_overload(s, zs, j == last, out=s)
+                total += step_overload(s, zs, j == T - 1, out=s)
         ticks = total @ ones
         ticks += done
-        if objective._dot_fits(ticks):
+        if objective.dot_exact:
             keys = ticks @ objective.weights
             i = int(keys.argmin())
             key = int(keys[i])
@@ -305,13 +307,11 @@ def _search(objective: Objective, fix, incumbent=None):
         if not kids:
             return
         # more than _TAIL open positions follow, so t is not the last
-        cap_c = caps[:len(kids)]
-        s, zc = station_step(z, eta[kids], cap_c, zeros[:len(kids)])
+        s, zc = station_step(z, eta[kids], caps[:len(kids)], zeros[:len(kids)])
         done_c = done + step_overload(s, zc, out=s) @ ones
         eta_c = rest_eta - clipped[kids]
         excess_c = rest_excess - excess[kids]
-        bounds = weigh(done_c + _suffix_bound(
-            zc, eta_c, excess_c, cap_c, objective.regenerative) @ ones)
+        bounds = weigh(done_c + _suffix_bound(zc, eta_c, excess_c) @ ones)
         # a child at depth 1 is the only node that placed its set
         keys = weigh(done_c) if t else None
         for i, v in enumerate(kids):
@@ -331,15 +331,14 @@ def _search(objective: Objective, fix, incumbent=None):
     return None if best_order is None else (best_order, best_key)
 
 
-def enumerate_optimal(instance: Instance, smp: Sample, regenerative: bool = True
-                      ) -> tuple[Sequence, float]:
+def enumerate_optimal(instance: Instance, smp: Sample) -> tuple[Sequence, float]:
     """Exact search over all permutations by branch-and-bound; returns
     the lexicographically smallest argmin and its objective."""
     n = instance.n_vehicles
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"enumeration over {n}! permutations refused (limit {ENUMERATION_GUARD})")
-    objective = Objective(instance, smp, regenerative)
+    objective = Objective(instance, smp)
     order, key = _search(objective, np.full((n, n), -1, dtype=np.int8))
     return Sequence(order), objective.tu(key)
 
@@ -481,17 +480,19 @@ class OptimalityCut:
         return total
 
 
-def _cuts(eff, b, c: int, cap, regenerative: bool):
+def _cuts(eff, b, c: int, cap):
     """Recourse duals and optimality cuts of a batch of station chains,
     read off the station recursion by complementary slackness.
 
     eff is vehicle x batch x station (effective times, ticks), b
     position x batch x station (the times the chains run on; float at a
     fractional anchor) and cap the (K,) l - c.  The forward pass keeps
-    z + eta at each position.  Walking backwards, m = sp_{t+1} + wo_{t+1}
-    caps sp_t: a position with z + eta >= cap (s >= l) binds its
-    overload row and opens the cap again, one with z + eta < 0 (s < c)
-    leaves its progression row slack and closes it.  Ties take the
+    z + eta at each position.  The last position's progression row meets
+    the pinned z_{T+1} = 0 of the regenerative end, so sp_T is 1 where
+    it carries (z + eta >= 0) and wo_T is 0.  Walking backwards,
+    m = sp_{t+1} + wo_{t+1} caps sp_t: a position with z + eta >= cap
+    (s >= l) binds its overload row and opens the cap again, one with
+    z + eta < 0 (s < c) leaves its progression row slack and closes it.  Ties take the
     carrying branch, the maximum-support choice among the alternate
     optima.
 
@@ -508,17 +509,14 @@ def _cuts(eff, b, c: int, cap, regenerative: bool):
     overload = 0
     for t in range(T):
         s, _ = station_step(z[t], eta[t], cap, 0, out=(None, z[t + 1]))
-        w = step_overload(s, z[t + 1], regenerative and t == T - 1, out=s)
+        w = step_overload(s, z[t + 1], t == T - 1, out=s)
         overload = overload + w.sum(axis=-1, dtype=wide)
     reach = z[:T] + eta
     over, carry = reach >= cap, reach >= 0
     sp = np.zeros(eta.shape, dtype=np.int64)
     wo = np.zeros_like(sp)
-    if regenerative:
-        sp[-1] = carry[-1]
-    else:              # the virtual free z_{T+1} kills sp_T
-        wo[-1] = over[-1]
-    m = sp[-1] + wo[-1]
+    sp[-1] = carry[-1]
+    m = sp[-1]
     for t in range(T - 2, -1, -1):
         sp[t] = np.where(over[t] | carry[t], m, 0)
         wo[t] = np.where(over[t], 1 - m, 0)
@@ -535,8 +533,7 @@ def _as_cut(scenario: Scenario, coeffs, offset) -> OptimalityCut:
                          offset=int(offset) / TICKS_PER_TU)
 
 
-def solve_dsp(instance: Instance, x, scenario: Scenario,
-              regenerative: bool = True
+def solve_dsp(instance: Instance, x, scenario: Scenario
               ) -> tuple[DualSolution, OptimalityCut]:
     """Optimal recourse duals of the scenario at x and their optimality
     cut.  The stations decouple, and each one's multipliers are read off
@@ -547,8 +544,7 @@ def solve_dsp(instance: Instance, x, scenario: Scenario,
     eff = np.array(vehicle_times(instance, scenario, IMPROVED_NEUTRAL), dtype=np.int64)
     b = eff.astype(float) @ xmat                         # station x position
     cap = np.array([st.length - c for st in instance.stations], dtype=np.int64)
-    sp, wo, coeffs, offsets, overload = _cuts(eff.T[:, None], b.T[:, None], c, cap,
-                                              regenerative)
+    sp, wo, coeffs, offsets, overload = _cuts(eff.T[:, None], b.T[:, None], c, cap)
     cut = _as_cut(scenario, coeffs[0], offsets[0])
     target = float(overload[0]) / TICKS_PER_TU
     if abs(cut.value_at(xmat) - target) > 1e-8 * max(1.0, abs(target)):
@@ -806,8 +802,7 @@ def lshaped_solve(instance: Instance, smp: Sample, params: ExactParams | None = 
             # each checked tight at the anchor exactly, in ticks
             pos = np.array(order)
             eff = objective.scenario_eta[:, cols] + c
-            _, _, coeffs, offsets, overload = _cuts(eff, eff[pos], c, objective.cap,
-                                                    objective.regenerative)
+            _, _, coeffs, offsets, overload = _cuts(eff, eff[pos], c, objective.cap)
             if (coeffs[:, pos, np.arange(nv)].sum(axis=1) + offsets != overload).any():
                 raise MMSeqError("optimality cut is not tight at its anchor")
             added = 0

@@ -139,11 +139,9 @@ class Sample:
                      for col, count in zip(self.existence.T, self.weights.tolist()))
 
 
-def sample(instance: Instance, n: int, seed: int,
-           forbid_low_risk_failures: bool = False) -> Sample:
+def sample(instance: Instance, n: int, seed: int) -> Sample:
     """Draw N iid scenarios: one uniform variate per (draw, vehicle) in
-    row-major order; vehicle v exists iff its variate >= failure_prob.
-    With forbid_low_risk_failures, low-risk vehicles always exist."""
+    row-major order; vehicle v exists iff its variate >= failure_prob."""
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = make_rng(seed)
@@ -155,8 +153,6 @@ def sample(instance: Instance, n: int, seed: int,
         block = u[:min(rows, n - a)]
         rng.random(out=block)
         np.greater_equal(block, fail, out=exists[a:a + len(block)])
-    if forbid_low_risk_failures:
-        exists |= np.array([veh.risk_class == "low" for veh in instance.vehicles])
     rows, counts = _unique_rows(exists)
     return Sample(n=n, seed=seed, existence=rows.T, weights=counts)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mmseq
+from mmseq.evaluator import EvalState, evaluate
 from mmseq.instance import HIGH_RISK, LOW_RISK, Instance, Station, Vehicle
 from mmseq.scenario import Scenario
 from mmseq.seeding import make_rng
@@ -96,6 +97,26 @@ def random_scenario(rng, n: int) -> Scenario:
 
 def random_order(rng, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.permutation(n))
+
+
+def regenerative_trace(inst: Instance, order, scenario=None,
+                       regen: bool = True) -> EvalState:
+    """The reference trace at the regenerative end, which every batched
+    path solves: evaluate with that end, or (regen False) with an open
+    end lifted onto it.  The two ends differ only at the last position,
+    where the open end charges max(s - cap, 0) and the regenerative one
+    all of s = max(z + eta, 0), so each station's last overload gains
+    its exit state min(s, cap)."""
+    ev = evaluate(inst, order, scenario, regenerative=regen)
+    if not regen:
+        ev.regenerative = True
+        for k, station in enumerate(inst.stations):
+            s = max(ev.z[k][-1] + ev.eta[k][-1], 0)
+            exit_state = min(s, station.length - inst.cycle_time)
+            ev.w[k][-1] += exit_state
+            ev.station_overload[k] += exit_state
+            ev.total_overload += exit_state
+    return ev
 
 
 @pytest.fixture

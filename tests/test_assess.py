@@ -14,7 +14,7 @@ from mmseq.exact import enumerate_optimal
 from mmseq.greedy import construct
 from mmseq.instance import (HIGH_RISK, Instance, Vehicle, generate, preset_config,
                             save)
-from mmseq.scenario import Sample, sample
+from mmseq.scenario import sample
 from mmseq.tabu import SearchParams
 
 from conftest import run_fresh
@@ -202,21 +202,6 @@ def test_mrp_abort_keeps_completed_rows():
     assert report.aborted_at == 3
     assert len(report.rows) == 2
     assert math.isfinite(report.bound)
-
-
-def test_mrp_forbidden_low_risk_failures_wiring():
-    # all failure mass is low-risk, so the flag collapses every
-    # replication sample onto the no-failure scenario
-    inst = Instance.of(7, (10,), [
-        Vehicle.of(0, False, (9,), 0.1),
-        Vehicle.of(1, False, (9,), 0.1),
-        Vehicle.of(2, False, (5,), 0.0),
-    ])
-    candidate, _ = enumerate_optimal(inst, Sample.degenerate(inst))
-    report = mrp(inst, candidate, enumeration_solver(), replications=4,
-                 n=25, seed=6, forbid_low_risk_failures=True)
-    assert all(r.gap == 0.0 for r in report.rows)
-    assert report.bound == 0.0
 
 
 def test_mrp_csv_layout():

@@ -1,6 +1,7 @@
 """Every batched path on evaluator.station_step against the per-scenario
-reference recursion evaluate_station, under both regenerative settings,
-on instances with a station whose length equals the cycle time (cap 0);
+reference recursion evaluate_station, run with the regenerative end the
+batched paths solve or with an open end lifted onto it (regen), on
+instances with a station whose length equals the cycle time (cap 0);
 and the operands the hot callers hand the step."""
 
 import dataclasses
@@ -11,8 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmseq import evaluator, exact
-from mmseq.evaluator import (Objective, evaluate, evaluate_station,
-                             partial_reevaluate)
+from mmseq.evaluator import Objective, evaluate_station, partial_reevaluate
 from mmseq.exact import _cuts, enumerate_optimal
 from mmseq.greedy import (GreedyTraceRow, construct, ev_position_pattern,
                           utilization_weight)
@@ -22,7 +22,8 @@ from mmseq.scenario import Sample, sample
 from mmseq.seeding import derive_seed, make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
-from conftest import random_instance, random_order, random_scenario
+from conftest import (random_instance, random_order, random_scenario,
+                      regenerative_trace)
 
 
 def flat_instance(rng, n=None):
@@ -41,7 +42,7 @@ def some_sample(rng, n: int) -> Sample:
 
 
 def reference_ticks(inst, order, scenario, regen) -> int:
-    return evaluate(inst, order, scenario, regenerative=regen).total_overload
+    return regenerative_trace(inst, order, scenario, regen).total_overload
 
 
 def reference_key(inst, order, smp, regen) -> int:
@@ -58,7 +59,7 @@ def test_objective_ticks_match_the_reference(seed, regen):
     n = inst.n_vehicles
     smp = some_sample(rng, n)
     orders = [random_order(rng, n) for _ in range(3)]
-    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
+    assert Objective(inst, smp).ticks(orders).tolist() == [
         [reference_ticks(inst, o, s, regen) for s, _ in smp.unique] for o in orders]
 
 
@@ -69,7 +70,7 @@ def test_probes_and_commits_match_the_reference(seed, regen):
     inst = flat_instance(rng, n=int(rng.integers(12, 31)))
     n = inst.n_vehicles
     smp = some_sample(rng, n)
-    traj = Objective(inst, smp, regen).trajectory(random_order(rng, n))
+    traj = Objective(inst, smp).trajectory(random_order(rng, n))
     for _ in range(40):
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
         move = Move(MOVE_KINDS[int(rng.integers(4))], a, b)
@@ -83,7 +84,7 @@ def test_probes_and_commits_match_the_reference(seed, regen):
         assert probe.order == moved
         # the scanned windows hold the moved order's reference trace
         for j, (scenario, _) in enumerate(smp.unique):
-            ref = evaluate(inst, moved, scenario, regenerative=regen)
+            ref = regenerative_trace(inst, moved, scenario, regen)
             for lo, hi in probe.windows:
                 assert traj._wbuf[lo:hi, j, :].T.tolist() == [w[lo:hi] for w in ref.w]
                 assert traj._zbuf[lo + 1:min(hi + 1, n), j, :].T.tolist() == [
@@ -96,7 +97,7 @@ def test_probes_and_commits_match_the_reference(seed, regen):
             traj.commit(probe)
             assert traj.value == reference_key(inst, moved, smp, regen)
             for j, (scenario, _) in enumerate(smp.unique):
-                ref = evaluate(inst, moved, scenario, regenerative=regen)
+                ref = regenerative_trace(inst, moved, scenario, regen)
                 assert traj.z[:n, j, :].T.tolist() == ref.z
                 assert traj.w[:, j, :].T.tolist() == ref.w
 
@@ -111,7 +112,7 @@ def test_enumeration_finds_the_reference_argmin(seed, regen):
     keys = {order: reference_key(inst, order, smp, regen)
             for order in itertools.permutations(range(6))}
     best = min(keys, key=lambda order: (keys[order], order))
-    order, value = enumerate_optimal(inst, smp, regen)
+    order, value = enumerate_optimal(inst, smp)
     assert order.order == best
     assert value == keys[best] / (smp.n * TICKS_PER_TU)
 
@@ -122,13 +123,13 @@ def test_cut_overloads_match_the_reference(seed, regen):
     inst = flat_instance(rng)
     n, c = inst.n_vehicles, inst.cycle_time
     smp = some_sample(rng, n)
-    objective = Objective(inst, smp, regen)
+    objective = Objective(inst, smp)
     order = random_order(rng, n)
     pos = np.array(order)
     eff = objective.scenario_eta + c                   # every scenario column
     want = [reference_ticks(inst, order, s, regen) for s, _ in smp.unique]
     for anchor in (eff[pos], eff[pos].astype(float)):
-        _, _, coeffs, offsets, overload = _cuts(eff, anchor, c, objective.cap, regen)
+        _, _, coeffs, offsets, overload = _cuts(eff, anchor, c, objective.cap)
         assert overload.tolist() == want
         assert (coeffs[:, pos, np.arange(n)].sum(axis=1) + offsets).tolist() == want
 

@@ -19,7 +19,8 @@ from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
 from conftest import (random_instance, random_order, random_scenario,
-                      window_instance, window_ticks, worked_example)
+                      regenerative_trace, window_instance, window_ticks,
+                      worked_example)
 
 TU = TICKS_PER_TU
 
@@ -43,6 +44,17 @@ def test_window_trace_regenerative():
     # closing the horizon turns the last slack into overload: 2 + 9 - 7
     assert ev.w == [0, 0, 0, 0, 4 * TU]
     assert ev.total_overload == 4 * TU
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_lifted_open_end_is_the_regenerative_trace(seed):
+    # the identity regenerative_trace's open end rests on: only the last
+    # overload differs, by each station's exit state
+    rng = make_rng(seed)
+    inst = random_instance(rng)
+    order = random_order(rng, inst.n_vehicles)
+    scen = random_scenario(rng, inst.n_vehicles)
+    assert regenerative_trace(inst, order, scen, False) == evaluate(inst, order, scen)
 
 
 def test_neutral_sequence_is_silent():
@@ -224,8 +236,8 @@ def test_objective_ticks_match_the_reference_recursion(seed, regen):
     orders = [random_order(rng, n) for _ in range(4)]
     smp = Sample.from_scenarios([random_scenario(rng, n) for _ in range(5)])
     # one column per distinct scenario, in smp.unique's sorted order
-    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
-        [evaluate(inst, o, s, regenerative=regen).total_overload
+    assert Objective(inst, smp).ticks(orders).tolist() == [
+        [regenerative_trace(inst, o, s, regen).total_overload
          for s, _ in smp.unique] for o in orders]
 
 
@@ -238,8 +250,8 @@ def test_objective_ticks_match_the_reference_over_many_scenarios(seed, regen, n_
     smp = Sample.from_scenarios([random_scenario(rng, 8) for _ in range(200)])
     assert smp.n_unique > 64
     orders = [random_order(rng, 8) for _ in range(n_orders)]
-    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
-        [evaluate(inst, o, s, regenerative=regen).total_overload
+    assert Objective(inst, smp).ticks(orders).tolist() == [
+        [regenerative_trace(inst, o, s, regen).total_overload
          for s, _ in smp.unique] for o in orders]
 
 
@@ -273,7 +285,7 @@ def test_trajectories_weigh_huge_counts_exactly():
                   weights=[2**61, 2**62])
     rng = make_rng(6)
     traj = Objective(inst, huge).trajectory(random_order(rng, 24))
-    assert not traj._dot_exact
+    assert not traj.objective.dot_exact
     assert traj.value == reference_value(inst, traj.order, huge)
     pruned = 0
     for _ in range(40):
@@ -318,11 +330,12 @@ def test_trace_csv_shape():
 # partial reevaluation
 
 def matches_reference(traj, inst, smp, regen=True) -> bool:
-    """The trajectory's z, w and value equal the per-scenario reference."""
+    """The trajectory's z, w and value equal the per-scenario reference
+    (regenerative_trace)."""
     T = len(traj.order)
     value = 0
     for j, (scen, count) in enumerate(smp.unique):
-        ref = evaluate(inst, traj.order, scen, regenerative=regen)
+        ref = regenerative_trace(inst, traj.order, scen, regen)
         if (traj.z[:T, j, :].T.tolist() != ref.z
                 or traj.w[:, j, :].T.tolist() != ref.w):
             return False
@@ -331,7 +344,7 @@ def matches_reference(traj, inst, smp, regen=True) -> bool:
 
 
 def reference_value(inst, order, smp, regen=True) -> int:
-    return sum(count * evaluate(inst, order, s, regenerative=regen).total_overload
+    return sum(count * regenerative_trace(inst, order, s, regen).total_overload
                for s, count in smp.unique)
 
 
@@ -392,7 +405,7 @@ def test_random_move_chains_match_full_evaluation():
         order = random_order(rng, n)
         smp = chain_sample(rng, n)
         regen = bool(rng.integers(0, 2))
-        traj = Objective(inst, smp, regen).trajectory(order)
+        traj = Objective(inst, smp).trajectory(order)
         for _ in range(25):
             a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
             move = Move(kinds[int(rng.integers(0, 4))], int(a), int(b))
@@ -411,7 +424,7 @@ def test_probes_match_the_reference_recursion(seed, regen):
     inst = random_instance(rng)
     n = inst.n_vehicles
     smp = chain_sample(rng, n)
-    traj = Objective(inst, smp, regen).trajectory(random_order(rng, n))
+    traj = Objective(inst, smp).trajectory(random_order(rng, n))
     assert matches_reference(traj, inst, smp, regen)
     for _ in range(12):
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -431,8 +444,10 @@ def test_probes_match_the_reference_recursion(seed, regen):
 def test_a_limited_probe_is_exact_or_a_bound_above_its_limit(n_vehicles, size_class, regen):
     rng = make_rng(n_vehicles + regen)
     inst = generate(preset_config(n_vehicles, seed=n_vehicles, size_class=size_class))
-    objective = Objective(inst, sample(inst, 30, seed=4), regen)
+    smp = sample(inst, 30, seed=4)
+    objective = Objective(inst, smp)
     traj = objective.trajectory(random_order(rng, n_vehicles))
+    assert traj.value == reference_value(inst, traj.order, smp, regen)
     pruned = 0
     for _ in range(150):
         a, b = sorted(rng.choice(n_vehicles, size=2, replace=False).tolist())

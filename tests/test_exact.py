@@ -25,7 +25,8 @@ from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
 from conftest import (as_xmat, random_instance, random_order,
-                      random_scenario, window_instance, worked_example)
+                      random_scenario, regenerative_trace, window_instance,
+                      worked_example)
 
 
 def all_exist(n: int) -> Scenario:
@@ -148,11 +149,12 @@ def test_recourse_rows_at_a_fractional_anchor():
 # ------------------------------------------------------------- dual cuts
 
 def test_window_cut_is_tight_both_borders():
+    # the window's 10 TU border, and its l == c twin's 7 TU one
     win = window_instance()
     order = (0, 1, 2, 3, 4)
     xmat = as_xmat(order)
-    for regen, want in ((True, 4.0), (False, 1.0)):
-        dual, cut = solve_dsp(win, order, all_exist(5), regenerative=regen)
+    for case, want in ((win, 4.0), (flat_stations(win), 6.0)):
+        dual, cut = solve_dsp(case, order, all_exist(5))
         assert dual.is_feasible(1e-9)
         assert cut.value_at(xmat) == pytest.approx(want, abs=1e-7)
 
@@ -191,18 +193,17 @@ def flat_stations(inst: Instance) -> Instance:
 
 def check_cut(inst, xmat, scen, probes):
     """The cut built at xmat is tight there (against the recourse LP) and
-    stays below the true recourse at every probe sequence; both borders,
-    on the instance and on its l == c twin."""
+    stays below the true recourse at every probe sequence, on the
+    instance and on its l == c twin."""
     for case in (inst, flat_stations(inst)):
-        for regen in (True, False):
-            dual, cut = solve_dsp(case, xmat, scen, regenerative=regen)
-            assert dual.is_feasible(1e-9)
-            target, _ = recourse_lp(case, xmat, scen, regenerative=regen)
-            assert cut.value_at(xmat) == pytest.approx(target, abs=1e-7)
-            for probe in probes:
-                q = evaluate(case, probe, scen, regenerative=regen)
-                assert cut.value_at(as_xmat(probe)) <= \
-                    q.total_overload / TICKS_PER_TU + 1e-7
+        dual, cut = solve_dsp(case, xmat, scen)
+        assert dual.is_feasible(1e-9)
+        target, _ = recourse_lp(case, xmat, scen)
+        assert cut.value_at(xmat) == pytest.approx(target, abs=1e-7)
+        for probe in probes:
+            q = evaluate(case, probe, scen)
+            assert cut.value_at(as_xmat(probe)) <= \
+                q.total_overload / TICKS_PER_TU + 1e-7
 
 
 def test_cuts_underestimate_everywhere(rng):
@@ -254,31 +255,28 @@ def cut_loop(inst, scen, dual):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_cut_product_matches_the_entry_loop(seed, regen):
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cut_product_matches_the_entry_loop(seed):
     rng = make_rng(seed)
     n = int(rng.integers(2, 9))
     inst = random_instance(rng, n=n)
     scen = random_scenario(rng, n)
-    dual, cut = solve_dsp(inst, random_order(rng, n), scen, regenerative=regen)
+    dual, cut = solve_dsp(inst, random_order(rng, n), scen)
     assert (cut.coeffs, cut.offset) == cut_loop(inst, scen, dual)
 
 
-def station_duals_loop(b, c, length, regenerative):
+def station_duals_loop(b, c, length):
     """One station's recourse duals by complementary slackness on the
-    reference trace, position by position: walking backwards,
+    reference trace, position by position: the last position carries
+    into the pinned regenerative border when s >= c; walking backwards,
     m = sp_{t+1} + wo_{t+1} caps sp_t; s >= l binds the overload row and
     opens the cap, s < c closes it, and ties carry."""
-    ev = evaluate_station(b, c, length, regenerative)
+    ev = evaluate_station(b, c, length)
     T = len(b)
     sp, wo = [0.0] * T, [0.0] * T
-    s = ev.z[-1] + b[-1]
-    if regenerative:
-        if s >= c:
-            sp[-1] = 1.0
-    elif s >= length:
-        wo[-1] = 1.0
-    m = sp[-1] + wo[-1]
+    if ev.z[-1] + b[-1] >= c:
+        sp[-1] = 1.0
+    m = sp[-1]
     for t in range(T - 2, -1, -1):
         s = ev.z[t] + b[t]
         if s >= length:
@@ -291,8 +289,8 @@ def station_duals_loop(b, c, length, regenerative):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans())
-def test_batched_cuts_match_solve_dsp(seed, regen, flat):
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_batched_cuts_match_solve_dsp(seed, flat):
     # one reader call over every scenario column, as the branch-and-cut
     # makes it, against the per-station loop and solve_dsp scenario by
     # scenario; the l == c twin ties at every position
@@ -304,18 +302,17 @@ def test_batched_cuts_match_solve_dsp(seed, regen, flat):
     c = inst.cycle_time
     order = random_order(rng, n)
     scens = [random_scenario(rng, n) for _ in range(int(rng.integers(1, 7)))]
-    objective = Objective(inst, Sample.from_scenarios(scens), regen)
+    objective = Objective(inst, Sample.from_scenarios(scens))
     eff = objective.scenario_eta + c
-    sp, wo, coeffs, offsets, overload = _cuts(eff, eff[list(order)], c,
-                                              objective.cap, regen)
+    sp, wo, coeffs, offsets, overload = _cuts(eff, eff[list(order)], c, objective.cap)
     for j in range(eff.shape[1]):
         scen = Scenario.from_flags(objective.exists[:, j])
-        ref = evaluate(inst, order, scen, regenerative=regen)
+        ref = evaluate(inst, order, scen)
         for k, st_k in enumerate(inst.stations):
             b = [e + c for e in ref.eta[k]]
             assert (sp[:, j, k].tolist(), wo[:, j, k].tolist()) == \
-                station_duals_loop(b, c, st_k.length, regen)
-        dual, cut = solve_dsp(inst, order, scen, regenerative=regen)
+                station_duals_loop(b, c, st_k.length)
+        dual, cut = solve_dsp(inst, order, scen)
         assert sp[:, j].T.tolist() == [list(r) for r in dual.pi_sp]
         assert wo[:, j].T.tolist() == [list(r) for r in dual.pi_wo]
         assert tuple(map(tuple, (coeffs[j] / TICKS_PER_TU).tolist())) == cut.coeffs
@@ -381,15 +378,6 @@ def test_enumerate_breaks_ties_across_batches():
     assert val == best / TICKS_PER_TU
 
 
-def station_cost(inst, order, scen, regen) -> int:
-    """Overload of one order under one scenario, summed over stations,
-    by the pure-Python reference recursion."""
-    c = inst.cycle_time
-    return sum(evaluate_station([row[v] if scen.exists[v] else c for v in order],
-                                c, st.length, regen).total_overload
-               for row, st in zip(inst.processing_rows(), inst.stations))
-
-
 def random_fixing(rng, n: int, fix: bool):
     """A vehicle x position fixing matrix: all free, or with about 30% of
     some permutation's pairs fixed in and up to 2n other pairs forbidden."""
@@ -429,11 +417,12 @@ def test_search_matches_the_permutation_loop(seed, regen, fix, incumbent):
     for order in itertools.permutations(range(n)):
         if all(order[t] == v for v, t in np.argwhere(fixing == 1)) and \
                 all(fixing[v, t] != 0 for t, v in enumerate(order)):
-            keys[order] = sum(count * station_cost(inst, order, scen, regen)
-                              for scen, count in smp.unique)
+            keys[order] = sum(
+                count * regenerative_trace(inst, order, scen, regen).total_overload
+                for scen, count in smp.unique)
     best = min(keys, key=keys.get) if keys else None   # first in lex order
     bound = incumbent_key(rng, incumbent, keys.get(best), max(keys.values(), default=None))
-    got = _search(Objective(inst, smp, regen), fixing, bound)
+    got = _search(Objective(inst, smp), fixing, bound)
     if best is None or bound is not None and keys[best] >= bound:
         assert got is None
     else:
@@ -447,20 +436,20 @@ def lex_permutations(n: int) -> np.ndarray:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+@given(st.integers(min_value=0, max_value=2**32 - 1),
        st.booleans(), st.sampled_from(["none", "optimum", "above", "random"]))
 # each fails when dominance compares keys alone, labels of another set of
 # the same size, or one station's entry states
-@example(seed=4, regen=False, fix=False, incumbent="none")
-@example(seed=18, regen=True, fix=False, incumbent="none")
-def test_search_matches_batched_enumeration(seed, regen, fix, incumbent):
+@example(seed=4, fix=False, incumbent="none")
+@example(seed=18, fix=False, incumbent="none")
+def test_search_matches_batched_enumeration(seed, fix, incumbent):
     # at 8-9 vehicles the engine labels nodes at depths 2 to 4, so a set
     # collects the labels of several earlier prefixes
     rng = make_rng(seed)
     n = int(rng.integers(8, 10))
     inst = random_instance(rng, n=n)
     smp = sample(inst, int(rng.integers(1, 7)), seed=seed)
-    objective = Objective(inst, smp, regen)
+    objective = Objective(inst, smp)
     fixing = random_fixing(rng, n, fix)
     perms = lex_permutations(n)
     allowed = np.ones(len(perms), dtype=bool)
@@ -482,8 +471,8 @@ def test_search_matches_batched_enumeration(seed, regen, fix, incumbent):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_suffix_bound_never_exceeds_a_completion(seed, regen):
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_suffix_bound_never_exceeds_a_completion(seed):
     rng = make_rng(seed)
     n = int(rng.integers(2, 8))
     inst = random_instance(rng, n=n)
@@ -495,18 +484,17 @@ def test_suffix_bound_never_exceeds_a_completion(seed, regen):
         cap = st.length - c
         eta = [row[v] - c if scen.exists[v] else 0 for v in range(n)]
         bound = _suffix_bound(
-            evaluate_station([eta[v] + c for v in order], c, st.length, regen).z[t],
+            evaluate_station([eta[v] + c for v in order], c, st.length).z[t],
             sum(eta[v] for v in order[t:]),
-            sum(max(0, eta[v] - cap) for v in order[t:]), cap, regen)
+            sum(max(0, eta[v] - cap) for v in order[t:]))
         for rest in itertools.permutations(order[t:]):
-            ev = evaluate_station([eta[v] + c for v in order[:t] + rest],
-                                  c, st.length, regen)
+            ev = evaluate_station([eta[v] + c for v in order[:t] + rest], c, st.length)
             assert bound <= sum(ev.w[t:])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_clipped_suffix_bound_never_exceeds_the_rest_of_an_order(seed, regen):
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_clipped_suffix_bound_never_exceeds_the_rest_of_an_order(seed):
     # the engine's rest sums on preset instances, where some vehicles
     # idle past -cap; clipping at 0 or at -(cap // 2) fails this
     rng = make_rng(seed)
@@ -514,7 +502,7 @@ def test_clipped_suffix_bound_never_exceeds_the_rest_of_an_order(seed, regen):
     inst = generate(preset_config(n, int(rng.integers(0, 1000)),
                                   str(rng.choice(["small", "medium", "large"]))))
     smp = sample(inst, int(rng.integers(1, 101)), seed=seed)
-    objective = Objective(inst, smp, regen)
+    objective = Objective(inst, smp)
     order = random_order(rng, n)
     t = int(rng.integers(0, n))
     clipped, excess = _rest_terms(objective.scenario_eta, objective.cap)
@@ -525,9 +513,8 @@ def test_clipped_suffix_bound_never_exceeds_the_rest_of_an_order(seed, regen):
     for j, (scen, _) in enumerate(smp.unique):
         for k, (row, stn) in enumerate(zip(inst.processing_rows(), inst.stations)):
             ev = evaluate_station([row[v] if scen.exists[v] else c for v in order],
-                                  c, stn.length, regen)
-            bound = _suffix_bound(ev.z[t], rest_eta[j, k], rest_excess[j, k],
-                                  stn.length - c, regen)
+                                  c, stn.length)
+            bound = _suffix_bound(ev.z[t], rest_eta[j, k], rest_excess[j, k])
             assert bound <= sum(ev.w[t:])
 
 
@@ -641,7 +628,7 @@ def test_theta_floors_sit_below_the_optimum(size_class, seed):
     objective = Objective(inst, smp)
     floors = root_bound(objective)
     best, _ = enumerate_optimal(inst, smp)
-    costs = [station_cost(inst, best.order, scen, True) for scen, _ in smp.unique]
+    costs = [evaluate(inst, best.order, scen).total_overload for scen, _ in smp.unique]
     assert (floors <= costs).all()
     assert objective._weigh(floors[None])[0] <= objective.keys([best.order])[0]
 

@@ -22,6 +22,14 @@ def two_vehicle_instance(f0: float, f1: float) -> Instance:
     return Instance.of(5, (5,), vehicles)
 
 
+def without_low_risk_failures(inst: Instance) -> Instance:
+    """inst with every low-risk vehicle's failure probability set to 0:
+    the same variates are drawn, and those vehicles always exist."""
+    return dataclasses.replace(inst, vehicles=tuple(
+        dataclasses.replace(veh, failure_prob=0.0) if veh.risk_class == LOW_RISK else veh
+        for veh in inst.vehicles))
+
+
 def test_scenario_all_exist():
     assert Scenario.all_exist(3).exists == (1, 1, 1)
 
@@ -57,45 +65,48 @@ def test_sample_multiplicities_sum_to_n():
 
 
 def test_sampling_law_frequencies():
-    # two high-risk vehicles at p=0.3; low-risk failures forbidden by flag
+    # two high-risk vehicles at p=0.3, four low-risk ones at p=0.1, and
+    # the rest never fail
     base = generate(preset_config(10, seed=6, size_class="small"))
-    vehicles = []
-    for v, veh in enumerate(base.vehicles):
-        if v < 2:
-            vehicles.append(dataclasses.replace(
-                veh, failure_prob=0.3, risk_class=HIGH_RISK))
-        else:
-            vehicles.append(dataclasses.replace(
-                veh, failure_prob=0.2, risk_class=LOW_RISK))
-    inst = dataclasses.replace(base, vehicles=tuple(vehicles))
-    smp = sample(inst, 10_000, seed=0, forbid_low_risk_failures=True)
+    probs = [0.3, 0.3, 0.1, 0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0]
+    inst = dataclasses.replace(base, vehicles=tuple(
+        dataclasses.replace(veh, failure_prob=p,
+                            risk_class=HIGH_RISK if p >= 0.2 else LOW_RISK)
+        for veh, p in zip(base.vehicles, probs)))
+    smp = sample(inst, 10_000, seed=0)
     fails = [0] * inst.n_vehicles
     for scen, count in smp.unique:
         for v, e in enumerate(scen.exists):
             if not e:
                 fails[v] += count
-    for v in range(2):
-        assert abs(fails[v] / 10_000 - 0.3) <= 0.02
-    assert all(f == 0 for f in fails[2:])
+    for v, p in enumerate(probs):
+        assert abs(fails[v] / 10_000 - p) <= 0.02
+    assert all(f == 0 for f in fails[6:])
 
 
-def per_draw_sample(inst, n, seed, forbid_low_risk_failures):
+def per_draw_sample(inst, n, seed):
     """Reference: one Scenario per draw, deduplicated afterwards."""
     u = make_rng(seed).random((n, inst.n_vehicles))
     return Sample.from_scenarios([
-        Scenario(tuple(
-            1 if (forbid_low_risk_failures and veh.risk_class == LOW_RISK)
-            or u[i][v] >= veh.failure_prob else 0
-            for v, veh in enumerate(inst.vehicles)))
+        Scenario(tuple(1 if u[i][v] >= veh.failure_prob else 0
+                       for v, veh in enumerate(inst.vehicles)))
         for i in range(n)], seed=seed)
+
+
+def both_risk_laws(inst: Instance, forbid: bool) -> tuple[Instance, Instance]:
+    """(inst, other): other differs in whether low-risk vehicles can fail;
+    with forbid, inst is the one where they cannot."""
+    pair = (without_low_risk_failures(inst), inst)
+    return pair if forbid else pair[::-1]
 
 
 @pytest.mark.parametrize("forbid", [False, True])
 def test_sample_matches_the_per_draw_reference(forbid):
-    inst = generate(preset_config(40, seed=3, size_class="large"))
-    smp = sample(inst, 500, seed=7, forbid_low_risk_failures=forbid)
-    assert smp == per_draw_sample(inst, 500, 7, forbid)
-    assert smp != sample(inst, 500, seed=7, forbid_low_risk_failures=not forbid)
+    inst, other = both_risk_laws(
+        generate(preset_config(40, seed=3, size_class="large")), forbid)
+    smp = sample(inst, 500, seed=7)
+    assert smp == per_draw_sample(inst, 500, 7)
+    assert smp != sample(other, 500, seed=7)
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097])
@@ -103,22 +114,21 @@ def test_sample_matches_the_per_draw_reference(forbid):
 def test_sample_drawn_in_blocks_matches_one_draw(n, forbid):
     # failures frequent enough that the draws are nearly all distinct
     probs = [0.45, 0.15] * 10
-    inst = Instance.of(5, (5,), [
+    inst, other = both_risk_laws(Instance.of(5, (5,), [
         Vehicle.of(v, False, (5,), p, HIGH_RISK if p >= 0.2 else LOW_RISK)
-        for v, p in enumerate(probs)])
+        for v, p in enumerate(probs)]), forbid)
     # the same draw as one n x V block of variates
-    exists = make_rng(11).random((n, 20)) >= np.array(probs)
-    if forbid:
-        exists |= np.array(probs) < 0.2
+    fail = np.array([veh.failure_prob for veh in inst.vehicles])
+    exists = make_rng(11).random((n, 20)) >= fail
     rows, counts = np.unique(exists, axis=0, return_counts=True)
-    smp = sample(inst, n, seed=11, forbid_low_risk_failures=forbid)
+    smp = sample(inst, n, seed=11)
     assert smp == Sample(n=n, seed=11, existence=rows.T, weights=counts)
-    assert smp != sample(inst, n, seed=11, forbid_low_risk_failures=not forbid)
+    assert smp != sample(other, n, seed=11)
 
 
-def _sample_bytes(inst, n, seed, forbid, block_bytes, monkeypatch):
+def _sample_bytes(inst, n, seed, block_bytes, monkeypatch):
     monkeypatch.setattr(mmseq.scenario, "_BLOCK_BYTES", block_bytes)
-    smp = sample(inst, n, seed, forbid_low_risk_failures=forbid)
+    smp = sample(inst, n, seed)
     return smp.existence.tobytes() + smp.weights.tobytes()
 
 
@@ -126,30 +136,30 @@ def _sample_bytes(inst, n, seed, forbid, block_bytes, monkeypatch):
 @pytest.mark.parametrize("forbid", [False, True])
 def test_sample_bytes_do_not_depend_on_the_block_bound(block_rows, forbid, monkeypatch):
     inst = generate(preset_config(200, seed=8, size_class="large"))
+    if forbid:
+        inst = without_low_risk_failures(inst)
     row_bytes = 8 * inst.n_vehicles
     bound = (mmseq.scenario._BLOCK_BYTES if block_rows is None
              else block_rows * row_bytes)
     rows = bound // row_bytes
     for n in sorted({rows - 1, rows, rows + 1, 3000} - {0}):
-        whole = _sample_bytes(inst, n, 5, forbid, n * row_bytes, monkeypatch)
-        assert _sample_bytes(inst, n, 5, forbid, bound, monkeypatch) == whole
+        whole = _sample_bytes(inst, n, 5, n * row_bytes, monkeypatch)
+        assert _sample_bytes(inst, n, 5, bound, monkeypatch) == whole
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 130).flatmap(lambda v: st.tuples(
            st.lists(st.sampled_from([0.0, 0.01, 0.2, 0.5]), min_size=v,
                     max_size=v),
-           st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans())))
+           st.integers(1, 400), st.integers(0, 2**32 - 1))))
 def test_sample_matches_np_unique_rows(case):
-    probs, n, seed, forbid = case
+    probs, n, seed = case
     inst = Instance.of(5, (5,), [
         Vehicle.of(v, False, (5,), p, HIGH_RISK if p >= 0.2 else LOW_RISK)
         for v, p in enumerate(probs)])
     exists = make_rng(seed).random((n, len(probs))) >= np.array(probs)
-    if forbid:
-        exists |= np.array(probs) < 0.2
     rows, counts = np.unique(exists.astype(np.int8), axis=0, return_counts=True)
-    smp = sample(inst, n, seed, forbid_low_risk_failures=forbid)
+    smp = sample(inst, n, seed)
     assert [s.exists for s, _ in smp.unique] == [tuple(r) for r in rows.tolist()]
     assert [c for _, c in smp.unique] == counts.tolist()
     assert np.array_equal(smp.existence, rows.T.astype(bool))
@@ -192,7 +202,9 @@ _SAMPLE_DIGESTS = {
 @pytest.mark.parametrize("seed", [1, 7, 103])
 def test_sample_seeds_existence_from_the_drawn_rows(size_class, n_vehicles, seed):
     inst = generate(preset_config(n_vehicles, seed, size_class))
-    smp = sample(inst, 500, seed, forbid_low_risk_failures=seed == 7)
+    if seed == 7:
+        inst = without_low_risk_failures(inst)
+    smp = sample(inst, 500, seed)
     assert smp.existence.shape == (n_vehicles, smp.n_unique)
     assert smp.existence.T.astype(int).tolist() == [list(s.exists) for s, _ in smp.unique]
     assert Sample.from_scenarios([s for s, c in smp.unique for _ in range(c)],

@@ -18,7 +18,7 @@ from mmseq.scenario import Sample, sample
 from mmseq.seeding import make_rng
 from mmseq.timeunits import TICKS_PER_TU
 
-from conftest import random_order
+from conftest import random_order, regenerative_trace
 
 
 def tick_instance(c: int, lengths, times, seed: int) -> Instance:
@@ -85,7 +85,7 @@ def test_bound_edge_picks_the_dtype():
     inst = at_bound(2**31 - 1)
     smp = sample(inst, 20, seed=1)
     orders = list(itertools.permutations(range(3)))
-    assert Objective(inst, smp, True).ticks(orders).tolist() == [
+    assert Objective(inst, smp).ticks(orders).tolist() == [
         [evaluate(inst, o, s).total_overload for s, _ in smp.unique] for o in orders]
 
 
@@ -105,8 +105,8 @@ def test_ticks_match_the_reference(name, regen):
     inst, smp, _ = case(name)
     rng = make_rng(8)
     orders = [random_order(rng, inst.n_vehicles) for _ in range(3)]
-    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
-        [evaluate(inst, o, s, regenerative=regen).total_overload
+    assert Objective(inst, smp).ticks(orders).tolist() == [
+        [regenerative_trace(inst, o, s, regen).total_overload
          for s, _ in smp.unique] for o in orders]
 
 
@@ -125,8 +125,8 @@ def test_blocked_ticks_match_the_reference(monkeypatch, name, regen, block):
     # the largest budget that holds `block` positions and no more
     budget = 1 if block == 1 else (block + 1) * per_position - 1
     monkeypatch.setattr(evaluator, "_ETA_BLOCK_BYTES", budget)
-    assert Objective(inst, smp, regen).ticks(orders).tolist() == [
-        [evaluate(inst, o, s, regenerative=regen).total_overload
+    assert Objective(inst, smp).ticks(orders).tolist() == [
+        [regenerative_trace(inst, o, s, regen).total_overload
          for s, _ in smp.unique] for o in orders]
 
 
@@ -154,7 +154,7 @@ def reference_windows(old, new, move):
 
 
 def reference_key(inst, order, smp, regen):
-    return sum(count * evaluate(inst, order, s, regenerative=regen).total_overload
+    return sum(count * regenerative_trace(inst, order, s, regen).total_overload
                for s, count in smp.unique)
 
 
@@ -164,7 +164,7 @@ def test_probes_match_the_reference(name, regen):
     inst, smp, _ = case(name)
     n = inst.n_vehicles
     rng = make_rng(9)
-    traj = Objective(inst, smp, regen).trajectory(random_order(rng, n))
+    traj = Objective(inst, smp).trajectory(random_order(rng, n))
     assert traj.value == reference_key(inst, traj.order, smp, regen)
     for _ in range(8):
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -192,10 +192,16 @@ def test_root_bound_matches_the_reference(name, regen):
         total = 0
         for k, row in enumerate(vehicle_times(inst, scenario)):
             cap = inst.stations[k].length - c
-            conserved = sum(max(p - c, -cap) for p in row) - (0 if regen else cap)
-            total += max(conserved, sum(max(p - c - cap, 0) for p in row))
+            total += max(sum(max(p - c, -cap) for p in row),
+                         sum(max(p - c - cap, 0) for p in row))
         want.append(total)
-    assert root_bound(Objective(inst, smp, regen)).tolist() == want
+    bound = root_bound(Objective(inst, smp)).tolist()
+    assert bound == want
+    # no order goes below it under any scenario
+    rng = make_rng(11)
+    for order in [random_order(rng, inst.n_vehicles) for _ in range(3)]:
+        assert all(least <= regenerative_trace(inst, order, s, regen).total_overload
+                   for least, (s, _) in zip(bound, smp.unique))
 
 
 @pytest.mark.parametrize("regen", [True, False])
@@ -205,6 +211,6 @@ def test_enumeration_matches_brute_force(name, regen):
     keys = {o: reference_key(inst, o, smp, regen)
             for o in itertools.permutations(range(inst.n_vehicles))}
     best = min(keys, key=keys.__getitem__)      # the first argmin in lex order
-    seq, value = enumerate_optimal(inst, smp, regen)
+    seq, value = enumerate_optimal(inst, smp)
     assert seq.order == best
     assert value == keys[best] / (smp.n * TICKS_PER_TU)
